@@ -34,6 +34,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.sequences import monotone_rows
 from .tables import format_table
 
 MASKED = "masked"
@@ -73,12 +74,6 @@ def ones_displacement(out) -> np.ndarray:
     ideal = k * n - (k * (k + 1)) // 2
     actual = (a.astype(np.int64) * np.arange(n, dtype=np.int64)).sum(axis=1)
     return ideal - actual
-
-
-def monotone_rows(out) -> np.ndarray:
-    """Boolean mask: rows already of the sorted ``0...01...1`` shape."""
-    a = _as_batch(out)
-    return (np.diff(a.astype(np.int8), axis=1) >= 0).all(axis=1)
 
 
 def classify(out, expected) -> str:

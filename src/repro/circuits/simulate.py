@@ -40,11 +40,10 @@ from .netlist import Netlist
 
 def _as_batch(inputs) -> np.ndarray:
     arr = np.asarray(inputs)
-    # Contiguous uint8 input is passed through untouched (the hot path:
-    # engine outputs, exhaustive_inputs, rng.integers(...).astype(uint8));
-    # anything else is converted once and then range-checked.
-    converted = arr.dtype != np.uint8 or not arr.flags["C_CONTIGUOUS"]
-    if converted:
+    # Contiguous uint8 input is not copied (the hot path: engine outputs,
+    # exhaustive_inputs, rng.integers(...).astype(uint8)); every batch
+    # is range-checked, since the backends disagree on values above 1.
+    if arr.dtype != np.uint8 or not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
@@ -52,7 +51,7 @@ def _as_batch(inputs) -> np.ndarray:
         raise SimulationError(
             f"inputs must be 1-D or 2-D, got shape {arr.shape}"
         )
-    if converted and arr.size and arr.max() > 1:
+    if arr.size and arr.max() > 1:
         raise SimulationError("inputs must be 0/1 values")
     return arr
 

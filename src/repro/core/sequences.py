@@ -38,10 +38,28 @@ def as_bits(seq) -> np.ndarray:
     return arr
 
 
+def monotone_rows(batch) -> np.ndarray:
+    """Boolean mask: rows of ``batch`` (a 1-D sequence is one row)
+    already of the sorted ``0...01...1`` shape."""
+    a = np.atleast_2d(np.asarray(batch))
+    return (np.diff(a.astype(np.int8), axis=1) >= 0).all(axis=1)
+
+
+def sorts_rows(inputs, outputs) -> np.ndarray:
+    """Boolean mask: output rows that are their input rows sorted.
+
+    For 0/1 rows, monotone with the input's ones count *is* sorted, so
+    every checked path accepts answers through this one check.
+    """
+    x, y = np.atleast_2d(inputs), np.atleast_2d(outputs)
+    if x.shape != y.shape:
+        return np.zeros(x.shape[0], dtype=bool)
+    return monotone_rows(y) & (y.sum(axis=1) == x.sum(axis=1))
+
+
 def is_sorted_binary(seq) -> bool:
     """True iff the sequence is ascending (all 0's before all 1's)."""
-    bits = as_bits(seq)
-    return bool(np.all(np.diff(bits.astype(np.int8)) >= 0))
+    return bool(monotone_rows(as_bits(seq))[0])
 
 
 def is_clean(seq) -> bool:

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..circuits.simulate import simulate
 from .mux_merger import build_mux_merger
-from .sequences import is_sorted_binary, sorted_sequence
+from .sequences import enumerate_bisorted, sorts_rows
 
 Perm = Tuple[int, int, int, int]
 
@@ -94,14 +94,8 @@ class Table1Assignment:
 
 def _verify(in_perms, out_perms, n: int = 16) -> bool:
     net = build_mux_merger(n, tuple(in_perms), tuple(out_perms))
-    h = n // 2
-    for zu in range(h + 1):
-        for zl in range(h + 1):
-            x = np.concatenate([sorted_sequence(h, zu), sorted_sequence(h, zl)])
-            out = simulate(net, x[None, :])[0]
-            if not is_sorted_binary(out) or out.sum() != x.sum():
-                return False
-    return True
+    x = np.stack(list(enumerate_bisorted(n)))
+    return bool(sorts_rows(x, simulate(net, x)).all())
 
 
 def derive_table1(verify_n: int = 16, max_results: int = 64) -> List[Table1Assignment]:

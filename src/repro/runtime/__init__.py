@@ -4,9 +4,9 @@ PR 2 classified faults *offline*; this package survives them *online*.
 Sorts run on self-checking hardware (:mod:`repro.circuits.checkers`)
 under a wall-clock deadline, every result clears both the gate-level
 alarms and a software invariant gate, and failures walk a graceful
-degradation ladder — compiled engine → interpreter oracle → behavioral
-``np.sort`` — governed by a :class:`RecoveryPolicy` with bounded retry
-and exponential backoff.  ``core.api.sort_bits(..., supervised=True)``
+degradation ladder — JIT kernel → compiled engine → interpreter oracle
+→ behavioral ``np.sort`` — governed by a :class:`RecoveryPolicy` with
+bounded retry and exponential backoff.  ``core.api.sort_bits(..., supervised=True)``
 routes through the shared per-network :func:`get_supervisor`.
 
 :mod:`repro.runtime.guard` provides the underlying deadline/retry

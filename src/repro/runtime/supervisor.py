@@ -38,8 +38,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from ..circuits.checkers import CheckedNetlist, OutputChecker, build_output_checker, with_checkers
+from ..circuits.checkers import CheckedNetlist, build_output_checker, with_checkers
 from ..circuits.simulate import simulate_engine, simulate_interpreted, simulate_jit
+from ..core.sequences import sorts_rows
 from ..errors import BuildError, CheckerAlarm, DeadlineExceeded, ReproError, SimulationError
 from .guard import time_limit
 
@@ -48,6 +49,8 @@ __all__ = [
     "RecoveryPolicy",
     "Supervisor",
     "SupervisorStats",
+    "checked_pass",
+    "checked_run",
     "get_supervisor",
     "reset_supervisors",
     "supervisor_stats",
@@ -59,7 +62,7 @@ __all__ = [
 #: interpreter so the two compiled rungs stay independent.  ``jit`` and
 #: ``interpreter`` are both skipped for the fish network (its phases are
 #: behavioral objects, not netlists, and already run through both
-#: engines).
+#: engines).  Every checked path walks this one ladder.
 TIERS = ("jit", "engine", "interpreter", "behavioral")
 
 #: Alarm pseudo-name for the supervisor's software invariant gate.
@@ -90,16 +93,12 @@ class RecoveryPolicy:
     max_backoff_s: Optional[float] = None
     deadline_s: Optional[float] = None
     control_checker: bool = False
-    tiers: Tuple[str, ...] = TIERS
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise BuildError("max_retries must be >= 0")
         if self.max_backoff_s is not None and self.max_backoff_s < 0:
             raise BuildError("max_backoff_s must be >= 0")
-        unknown = set(self.tiers) - set(TIERS)
-        if unknown or not self.tiers:
-            raise BuildError(f"tiers must be a non-empty subset of {TIERS}")
 
     @property
     def backoff_cap_s(self) -> Optional[float]:
@@ -168,8 +167,56 @@ class SupervisorStats:
         }
 
 
-def _monotone(bits: np.ndarray) -> bool:
-    return bool((np.diff(bits.astype(np.int8)) >= 0).all())
+def rejection_names(alarm_names, alarm_row) -> Tuple[str, ...]:
+    """Why a row was rejected: the alarms set in ``alarm_row``, else
+    :data:`INVARIANT` (only the software gate refused it)."""
+    fired = tuple(name for name, bit in zip(alarm_names, alarm_row) if bit)
+    return fired or (INVARIANT,)
+
+
+def checked_pass(
+    checked: CheckedNetlist, rows: np.ndarray, tier: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one rung of :data:`TIERS` over a ``(lanes, width)`` batch.
+
+    Returns the data rows, the per-row alarms (one column per
+    ``checked.alarm_names``) and the accepted mask: alarms quiet and
+    :func:`sorts_rows` true against the caller-held ``rows``.  Raises
+    when the tier cannot run.
+    """
+    if tier == "behavioral":
+        data = np.sort(rows, axis=1)
+        alarms = np.zeros((rows.shape[0], len(checked.alarm_names)), np.uint8)
+    else:
+        # Looked up at call time so patched kernels are the ones run.
+        run = {
+            "jit": simulate_jit,
+            "engine": simulate_engine,
+            "interpreter": simulate_interpreted,
+        }[tier]
+        data, alarms = checked.split(run(checked.netlist, rows))
+    return data, alarms, ~alarms.any(axis=1) & sorts_rows(rows, data)
+
+
+def checked_run(
+    checked: CheckedNetlist, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """:func:`checked_pass` down :data:`TIERS` until a rung runs; rows
+    it rejects become ``np.sort`` of the held input, so the result is
+    never partial.  Returns ``(data, alarms, accepted, tier)``.
+    """
+    for tier in TIERS[:-1]:
+        try:
+            data, alarms, accepted = checked_pass(checked, rows, tier)
+            break
+        except (ReproError, RuntimeError):
+            continue
+    else:
+        tier = TIERS[-1]
+        data, alarms, accepted = checked_pass(checked, rows, tier)
+    if not accepted.all():
+        data = np.where(accepted[:, None], data, np.sort(rows, axis=1))
+    return data, alarms, accepted, tier
 
 
 class Supervisor:
@@ -236,49 +283,32 @@ class Supervisor:
             self._cache.clear()
             self.stats = SupervisorStats()
 
-    # -- invariants -----------------------------------------------------------
-
-    def _accept(self, inputs: np.ndarray, data: np.ndarray) -> np.ndarray:
-        """Software gate: output must be monotone with the same ones
-        count as the caller-held input (closes the checkers'
-        fault-secure boundary at the primary inputs)."""
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != inputs.shape:
-            raise CheckerAlarm((INVARIANT,), message="output shape mismatch")
-        if not _monotone(data) or int(data.sum()) != int(inputs.sum()):
-            raise CheckerAlarm((INVARIANT,))
-        return data
-
     # -- tiers ----------------------------------------------------------------
 
     def _run_tier(
         self, tier: str, padded: np.ndarray, pipelined: bool
     ) -> np.ndarray:
+        """One attempt at ``tier``: a batch of one through the shared
+        acceptance check, raising :class:`CheckerAlarm` (alarm names, or
+        ``"invariant"`` when only the software gate rejects) on refusal."""
+        rows = padded[None, :]
         if tier == "behavioral":
-            return self._accept(padded, np.sort(padded))
+            return np.sort(padded)
         hw = self._get_hardware(padded.size)
         if self.network == "fish":
-            if tier in ("jit", "interpreter"):
-                # The fish sorter is a behavioral object, not a netlist:
-                # its phases already execute through both engines, and
-                # there is nothing for the JIT to code-generate.
-                raise SimulationError(f"fish has no {tier} tier")
+            # The fish sorter is a behavioral object, not a netlist, so
+            # only the engine rung runs it (see TIERS).
             sorter, checker = hw
             out, _report = sorter.sort(padded, pipelined=pipelined)
-            out = np.asarray(out, dtype=np.uint8)
-            fired = checker.fired(padded[None, :], out[None, :])
-            if fired:
-                raise CheckerAlarm(fired)
-            return self._accept(padded, out)
-        checked: CheckedNetlist = hw
-        run = {
-            "jit": simulate_jit,
-            "engine": simulate_engine,
-            "interpreter": simulate_interpreted,
-        }[tier]
-        out = run(checked.netlist, padded[None, :])
-        data = checked.check(out)[0]  # raises CheckerAlarm on any alarm
-        return self._accept(padded, data)
+            data = np.asarray(out, dtype=np.uint8)[None, :]
+            alarms = checker.alarms(rows, data)
+            accepted = ~alarms.any(axis=1) & sorts_rows(rows, data)
+        else:
+            checker = hw
+            data, alarms, accepted = checked_pass(hw, rows, tier)
+        if not accepted[0]:
+            raise CheckerAlarm(rejection_names(checker.alarm_names, alarms[0]))
+        return data[0]
 
     # -- public API -----------------------------------------------------------
 
@@ -418,7 +448,7 @@ class Supervisor:
         attempts = retries = deadline_hits = 0
         last_error: Optional[BaseException] = None
         tiers = [
-            t for t in policy.tiers
+            t for t in TIERS
             if not (self.network == "fish" and t in ("jit", "interpreter"))
         ]
         # All trace_event calls are no-ops unless repro.obs is enabled;

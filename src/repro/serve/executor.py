@@ -1,4 +1,4 @@
-"""Checked batch execution for the service: one engine pass per batch.
+"""Checked batch execution for the service: one fabric pass per batch.
 
 The executor owns the *fabric*: per-width self-checking netlists
 (:func:`repro.circuits.checkers.with_checkers` — sortedness +
@@ -8,20 +8,14 @@ Piotrów's periodic merging networks motivate.  Each flushed batch runs
 as **one** simulation pass; at >= 64 lanes the engine's bit-packed
 uint64 path kicks in, which is where batching turns into throughput.
 
-Acceptance mirrors the supervised runtime's two gates, vectorized over
-the batch:
-
-1. every alarm wire of the row must be quiet, and
-2. the row must be monotone with the caller-held input's popcount
-   (which closes the checkers' fault-secure boundary at the primary
-   inputs; for 0/1 rows monotone + popcount is a *complete* check, so
-   an accepted row is provably correct).
-
-Rows failing either gate are **recovered behaviorally** (``np.sort`` of
-the held input) before the response is assembled — a degraded-but-
-correct answer, never a silent corruption.  Whole-pass failures walk
-the same ladder as the supervisor: auto-routed ``simulate`` (JIT →
-engine) → element-at-a-time interpreter → behavioral sort.
+Each batch walks the supervised runtime's ladder
+(:func:`repro.runtime.supervisor.checked_run`: JIT → engine →
+element-at-a-time interpreter → behavioral sort).  A row is accepted
+when its alarm wires are quiet and :func:`repro.core.sequences.sorts_rows`
+holds against the caller-held input — a *complete* check on 0/1 rows,
+so an accepted row is provably correct.  Rejected rows are **recovered
+behaviorally** (``np.sort`` of the held input) before the response is
+assembled — a degraded-but-correct answer, never a silent corruption.
 """
 
 from __future__ import annotations
@@ -34,9 +28,11 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..circuits.checkers import CheckedNetlist, with_checkers
-from ..circuits.simulate import simulate, simulate_interpreted
+# Unused here, but bench/spans.py patches them by name.
+from ..circuits.simulate import simulate, simulate_interpreted  # noqa: F401
 from ..core.api import make_sorter, next_power_of_two
-from ..errors import BuildError, ReproError
+from ..errors import BuildError
+from ..runtime.supervisor import checked_run, rejection_names
 from .. import obs
 
 __all__ = ["BatchOutcome", "FabricExecutor"]
@@ -48,11 +44,13 @@ class BatchOutcome:
 
     data: np.ndarray  #: (lanes, width) final rows, all provably correct
     accepted: np.ndarray  #: bool mask — rows the hardware answer survived
-    tier: str  #: "engine" (auto simulate), "interpreter", or "behavioral"
+    tier: str  #: the rung of ``supervisor.TIERS`` that ran
     alarms: int  #: rows with any checker alarm set
     invariant_fails: int  #: alarm-quiet rows failing monotone/popcount
     recovered: int  #: rows replaced by behavioral recovery
     wall_s: float  #: execution wall-clock for the whole pass
+    #: lane -> alarm names that rejected it (:class:`CallReport` vocabulary)
+    detections: Dict[int, Tuple[str, ...]]
 
     @property
     def lanes(self) -> int:
@@ -99,14 +97,6 @@ class FabricExecutor:
         """Fabric width serving an ``n``-bit row (next power of two)."""
         return next_power_of_two(max(int(n), 2))
 
-    def warm(self, widths) -> None:
-        """Pre-build (and pre-compile) the fabric for the given widths so
-        the first request doesn't pay netlist construction."""
-        for w in widths:
-            hw = self.checked(self.pad_width(w))
-            probe = np.zeros((1, hw.n_data), dtype=np.uint8)
-            simulate(hw.netlist, probe)  # compile the plan now
-
     # -- execution ------------------------------------------------------------
 
     def run_batch(self, width: int, rows: np.ndarray) -> BatchOutcome:
@@ -121,41 +111,17 @@ class FabricExecutor:
             raise BuildError(f"batch must be (lanes, {width}), got {rows.shape}")
         started = time.perf_counter()
         checked = self.checked(width)
-        expected = None  # computed lazily: most batches never need it
-
-        tier = "engine"
-        data = alarm_rows = None
-        try:
-            out = simulate(checked.netlist, rows)  # auto JIT -> engine
-            data, alarms = checked.split(out)
-            alarm_rows = alarms.any(axis=1)
-        except (ReproError, RuntimeError):
-            try:
-                tier = "interpreter"
-                out = simulate_interpreted(checked.netlist, rows)
-                data, alarms = checked.split(out)
-                alarm_rows = alarms.any(axis=1)
-            except (ReproError, RuntimeError):
-                tier = "behavioral"
-                expected = np.sort(rows, axis=1)
-                data = expected
-                alarm_rows = np.zeros(rows.shape[0], dtype=bool)
-
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        invariant_ok = (np.diff(data.astype(np.int8), axis=1) >= 0).all(axis=1) & (
-            data.sum(axis=1) == rows.sum(axis=1)
-        )
-        accepted = ~alarm_rows & invariant_ok
-        if tier == "behavioral":
-            accepted = np.zeros(rows.shape[0], dtype=bool)
+        data, alarms, accepted, tier = checked_run(checked, rows)
+        alarm_rows = alarms.any(axis=1)
         n_alarm = int(alarm_rows.sum())
-        n_invariant = int((~invariant_ok & ~alarm_rows).sum())
+        n_invariant = int((~accepted & ~alarm_rows).sum())
+        detections = {
+            int(lane): rejection_names(checked.alarm_names, alarms[lane])
+            for lane in np.flatnonzero(~accepted)
+        }
+        if tier == "behavioral":  # no hardware answer survived
+            accepted = np.zeros(rows.shape[0], dtype=bool)
         n_recovered = int((~accepted).sum())
-        if not accepted.all():
-            if expected is None:
-                expected = np.sort(rows, axis=1)
-            data = np.where(accepted[:, None], data, expected)
-
         wall_s = time.perf_counter() - started
         if obs.OBS.enabled:
             self._record_metrics(width, rows.shape[0], tier, n_alarm,
@@ -168,6 +134,7 @@ class FabricExecutor:
             invariant_fails=n_invariant,
             recovered=n_recovered,
             wall_s=wall_s,
+            detections=detections,
         )
 
     def _record_metrics(self, width, lanes, tier, alarms, recovered, wall_s):

@@ -89,7 +89,7 @@ class ServeResponse:
     total_s: float = 0.0  #: submit -> response
     batch_lanes: int = 0  #: lanes in the batch that served this request
     recovered: bool = False  #: any lane needed behavioral recovery
-    detections: Tuple[str, ...] = ()  #: checker alarms observed on the way
+    detections: Tuple[str, ...] = ()  #: alarm names fired on this request's lanes
     retry_after_s: float = 0.0  #: shed only: suggested client backoff
     credits_left: int = 0  #: gate credits remaining at response time
     error: str = ""  #: error only: what was wrong

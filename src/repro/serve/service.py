@@ -92,7 +92,7 @@ class _LaneTicket:
 class _LaneResult:
     row: np.ndarray
     accepted: bool
-    tier: str
+    detections: Tuple[str, ...]
     batch_lanes: int
     queued_s: float
     service_s: float
@@ -301,7 +301,7 @@ class SortingService:
             ticket.future.set_result(_LaneResult(
                 row=outcome.data[i],
                 accepted=bool(outcome.accepted[i]),
-                tier=outcome.tier,
+                detections=outcome.detections.get(i, ()),
                 batch_lanes=len(batch),
                 queued_s=max(0.0, started - ticket.admitted_at),
                 service_s=per_lane,
@@ -314,11 +314,11 @@ class SortingService:
         service_s = sum(r.service_s for r in results)
         batch_lanes = max(r.batch_lanes for r in results)
         recovered = any(not r.accepted for r in results)
-        tiers = tuple(dict.fromkeys(r.tier for r in results if r.tier != "engine"))
+        detections = tuple(dict.fromkeys(d for r in results for d in r.detections))
         base = dict(
             status="ok", kind=request.kind, tag=request.tag,
             queued_s=queued_s, service_s=service_s,
-            batch_lanes=batch_lanes, recovered=recovered, detections=tiers,
+            batch_lanes=batch_lanes, recovered=recovered, detections=detections,
         )
         n = request.n
         if request.kind == "sort":

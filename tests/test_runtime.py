@@ -276,8 +276,6 @@ class TestDeadline:
     def test_policy_validation(self):
         with pytest.raises(BuildError):
             RecoveryPolicy(max_retries=-1)
-        with pytest.raises(BuildError):
-            RecoveryPolicy(tiers=("warp",))
 
 
 class TestCacheLRU:
@@ -335,6 +333,14 @@ class TestCacheLRU:
         assert not errors
 
 
+def _only_behavioral_runs(self, tier, padded, pipelined):
+    """A ``Supervisor._run_tier`` on which every rung but the behavioral
+    one fails."""
+    if tier != "behavioral":
+        raise SimulationError("chaos")
+    return np.sort(padded)
+
+
 class TestBackoffCap:
     """``RecoveryPolicy.max_backoff_s``: the per-sleep cap that keeps a
     deadline storm from burning more wall-clock sleeping between
@@ -352,41 +358,27 @@ class TestBackoffCap:
     def test_retry_sleeps_are_capped(self, monkeypatch, rng):
         sup = Supervisor("prefix", policy=RecoveryPolicy(
             max_retries=2, backoff_s=1e-3, backoff_factor=10.0,
-            max_backoff_s=2e-3, tiers=("engine", "behavioral")))
-        calls = {"n": 0}
-
-        def flaky(self, tier, padded, pipelined):
-            calls["n"] += 1
-            if tier == "engine":
-                raise SimulationError("chaos")
-            return np.sort(padded)
-
-        monkeypatch.setattr(type(sup), "_run_tier", flaky)
+            max_backoff_s=2e-3))
+        monkeypatch.setattr(type(sup), "_run_tier", _only_behavioral_runs)
         slept = []
         monkeypatch.setattr(
             "repro.runtime.supervisor.time.sleep", slept.append)
         bits = rng.integers(0, 2, 8).astype(np.uint8)
         out, report = sup.sort_verbose(bits)
         assert out.tolist() == sorted(bits.tolist())
-        assert report.fell_back and report.retries == 2
-        # uncapped the sleeps would be 1ms then 10ms; the cap clamps
-        # the second retry to 2ms
-        assert slept == [pytest.approx(1e-3), pytest.approx(2e-3)]
+        assert report.tier == "behavioral"
+        assert report.fell_back and report.retries == 6  # 2 per failing rung
+        # uncapped each rung would sleep 1ms then 10ms; the cap clamps
+        # every second retry to 2ms (the backoff restarts per rung)
+        assert slept == [pytest.approx(1e-3), pytest.approx(2e-3)] * 3
 
     def test_uncapped_policy_still_grows(self, monkeypatch, rng):
         sup = Supervisor("prefix", policy=RecoveryPolicy(
-            max_retries=2, backoff_s=1e-3, backoff_factor=10.0,
-            tiers=("engine", "behavioral")))
-
-        def flaky(self, tier, padded, pipelined):
-            if tier == "engine":
-                raise SimulationError("chaos")
-            return np.sort(padded)
-
-        monkeypatch.setattr(type(sup), "_run_tier", flaky)
+            max_retries=2, backoff_s=1e-3, backoff_factor=10.0))
+        monkeypatch.setattr(type(sup), "_run_tier", _only_behavioral_runs)
         slept = []
         monkeypatch.setattr(
             "repro.runtime.supervisor.time.sleep", slept.append)
         bits = rng.integers(0, 2, 8).astype(np.uint8)
         sup.sort_verbose(bits)
-        assert slept == [pytest.approx(1e-3), pytest.approx(1e-2)]
+        assert slept == [pytest.approx(1e-3), pytest.approx(1e-2)] * 3

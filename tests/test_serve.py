@@ -330,6 +330,28 @@ class TestServiceEndToEnd:
                     resp.result, np.sort(req.payload)
                 ), "accepted-but-wrong answer"
 
+    def test_broken_fabric_reports_alarm_names(self, rng, monkeypatch):
+        """On a faulty fabric every answer is still correct, and a
+        response names the alarms that fired on its lanes exactly when
+        it was recovered."""
+        import dataclasses
+
+        from repro.circuits import OutputSwap, apply_fault
+
+        checked = FabricExecutor("mux_merger").checked(16)
+        broken = dataclasses.replace(
+            checked, netlist=apply_fault(checked.netlist, OutputSwap(13)))
+        monkeypatch.setattr(FabricExecutor, "checked", lambda self, w: broken)
+        reqs = [sort_request(rng.integers(0, 2, 16)) for _ in range(40)]
+        responses = serve_requests(reqs, _small_config())
+
+        assert any(r.recovered for r in responses)
+        names = set(checked.alarm_names) | {"invariant"}
+        for req, resp in zip(reqs, responses):
+            assert np.array_equal(resp.result, np.sort(req.payload))
+            assert bool(resp.detections) == resp.recovered
+            assert set(resp.detections) <= names
+
     def test_route_charges_lg_n_credits(self):
         assert lanes_for(route_request(np.arange(16))) == 4
         assert lanes_for(sort_request([1, 0])) == 1

@@ -10,6 +10,8 @@ from repro.circuits import (
     simulate,
     simulate_payload,
 )
+from repro.circuits.simulate import simulate_engine, simulate_jit
+from repro.errors import SimulationError
 
 
 def _comparator_net():
@@ -44,6 +46,16 @@ class TestSimulate:
         net = _comparator_net()
         with pytest.raises(ValueError, match="1-D or 2-D"):
             simulate(net, np.zeros((2, 2, 2), dtype=np.uint8))
+
+    @pytest.mark.parametrize("run", [simulate, simulate_jit, simulate_engine])
+    def test_non_binary_uint8_rejected(self, run):
+        """Contiguous uint8 input is range-checked like any other batch
+        (the backends would otherwise return different garbage)."""
+        net = _comparator_net()
+        with pytest.raises(SimulationError, match="0/1"):
+            run(net, np.array([[2, 0]], dtype=np.uint8))
+        with pytest.raises(SimulationError, match="0/1"):
+            run(net, np.full((70, 2), 3, dtype=np.uint8))  # packed path
 
     def test_demux_unselected_output_zero(self):
         b = CircuitBuilder()

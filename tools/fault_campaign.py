@@ -222,15 +222,13 @@ def _supervised_extras_fish(checker, probes, expected, outs):
     caller-held ones count) fails; the call is therefore correct unless
     a wrong row passes both gates — exactly the condition tested here.
     """
-    from repro.analysis.resilience import alarm_stats, classify_with_alarms, monotone_rows
+    from repro.analysis.resilience import alarm_stats, classify_with_alarms
+    from repro.core.sequences import sorts_rows
 
     alarms = checker.alarms(probes, outs)
-    row_alarm = alarms.any(axis=1)
-    invariant_fail = (
-        outs.sum(axis=1) != probes.sum(axis=1)
-    ) | ~monotone_rows(outs)
+    accepted = ~alarms.any(axis=1) & sorts_rows(probes, outs)
     wrong = (outs != expected).any(axis=1)
-    supervised_ok = bool((~wrong | row_alarm | invariant_fail).all())
+    supervised_ok = not (accepted & wrong).any()
     return {
         "supervised_outcome": classify_with_alarms(outs, alarms, expected),
         "alarm": alarm_stats(outs, alarms, expected),

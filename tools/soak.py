@@ -33,10 +33,11 @@ Each cell's requests are cut into *chunks* (the parallel work unit,
 workers) and chunks into *rounds* (the checkpoint unit).  A seeded
 draw runs each chunk in one of two modes:
 
-* ``batch`` — the whole chunk simulated on self-checking hardware
-  (:func:`repro.circuits.checkers.with_checkers`) in one engine pass;
-  alarm rows and software-invariant failures (monotone + caller-held
-  ones count) are recovered behaviorally;
+* ``batch`` — the whole chunk run on self-checking hardware
+  (:func:`repro.circuits.checkers.with_checkers`) through the shared
+  checked ladder (:func:`repro.runtime.supervisor.checked_run`, the
+  serve fabric's path); alarm rows and software-invariant failures
+  (monotone + caller-held ones count) are recovered behaviorally;
 * ``supervised`` — request-at-a-time through a live
   :class:`repro.runtime.Supervisor` (retry, backoff cap, degradation
   ladder), the path deadline storms genuinely preempt.
@@ -188,10 +189,6 @@ def _pad_rows(rows, width: int, npad: int) -> np.ndarray:
     return batch
 
 
-def _monotone_rows(data: np.ndarray) -> np.ndarray:
-    return (np.diff(data.astype(np.int8), axis=1) >= 0).all(axis=1)
-
-
 def _soak_chunk(payload) -> dict:
     """Execute one chunk of requests; returns the chunk record.
 
@@ -202,6 +199,7 @@ def _soak_chunk(payload) -> dict:
     """
     from repro.core.api import next_power_of_two
     from repro.errors import ReproError
+    from repro.runtime.supervisor import checked_run
 
     (cell, chunk_index, mode, network, rows, fault_seed, deadline_s) = payload
     started = time.perf_counter()
@@ -220,22 +218,13 @@ def _soak_chunk(payload) -> dict:
             npad = next_power_of_two(max(width, 2))
             batch = _pad_rows([rows[p] for p in positions], width, npad)
             checked = _checked_hardware(network, npad, fault_seed)
-            from repro.circuits import simulate
-
-            out = simulate(checked.netlist, batch)
-            data, alarms = checked.split(out)
+            final, alarms, accepted, _tier = checked_run(checked, batch)
             alarm_rows = alarms.any(axis=1)
-            invariant_ok = _monotone_rows(data) & (
-                data.sum(axis=1) == batch.sum(axis=1)
-            )
-            accepted = ~alarm_rows & invariant_ok
-            expected = np.sort(batch, axis=1)
-            wrong = (data != expected).any(axis=1)
+            wrong = (final != np.sort(batch, axis=1)).any(axis=1)
             stats["alarms"] += int(alarm_rows.sum())
-            stats["invariant"] += int((~invariant_ok & ~alarm_rows).sum())
+            stats["invariant"] += int((~accepted & ~alarm_rows).sum())
             stats["silent"] += int((accepted & wrong).sum())
             stats["recovered"] += int((~accepted).sum())
-            final = np.where(accepted[:, None], data, expected)
             for local, pos in enumerate(positions):
                 outputs[pos] = final[local, :width]
     else:  # supervised
