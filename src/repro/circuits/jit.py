@@ -45,12 +45,6 @@ entries are written atomically (:mod:`repro.ioutil`) and carry an
 internal checksum; a torn, truncated, or bit-flipped entry is silently
 ignored and recompiled, never loaded.
 
-Backend selection: the default ``"bignum"`` backend needs nothing but
-CPython.  An opt-in ``"numba"`` backend (:func:`compile_numba`) lowers
-to a per-word ``uint64`` loop kernel (:func:`codegen_words`) and JITs
-it with numba when that library is importable; the word kernel is plain
-Python, so its semantics are testable even where numba is absent.
-
 Faulted netlists (:mod:`repro.circuits.faults` rewrites) flow through
 this compiler unchanged — a mutant is just another netlist with its own
 content hash — which is what keeps the fault campaigns' differential
@@ -89,9 +83,7 @@ __all__ = [
     "clear_disk_cache",
     "clear_memory_cache",
     "codegen",
-    "codegen_words",
     "compile_jit",
-    "compile_numba",
     "disk_cache_dir",
     "eliminate_dead",
     "get_jit_plan",
@@ -491,32 +483,6 @@ def codegen(prog: BitProgram, fn_name: str = "_jit_kernel",
     return "\n".join(src) + "\n"
 
 
-def codegen_words(prog: BitProgram, fn_name: str = "_jit_words") -> str:
-    """Generate the per-word ``uint64`` loop kernel for the numba path.
-
-    Signature ``fn(IN, OUT)`` over ``(n_inputs, W)`` / ``(n_outputs, W)``
-    ``uint64`` arrays.  The source is plain Python (slow when
-    interpreted, near-C under ``numba.njit``), so its semantics can be
-    verified without numba installed.
-    """
-    lines = [f"def {fn_name}(IN, OUT):",
-             "    M = np.uint64(0xFFFFFFFFFFFFFFFF)",
-             "    for w in range(IN.shape[1]):"]
-    ref = [""] * len(prog.nodes)
-    ref[0], ref[1] = "np.uint64(0)", "M"
-    for pos in range(prog.n_inputs):
-        ref[2 + pos] = f"i{pos}"
-        lines.append(f"        i{pos} = IN[{pos}, w]")
-    n_fixed = 2 + prog.n_inputs
-    for nid in range(n_fixed, len(prog.nodes)):
-        op, a, c = prog.nodes[nid]
-        lines.append(f"        v{nid} = {ref[a]} {_BINOPS[op]} {ref[c]}")
-        ref[nid] = f"v{nid}"
-    for k, o in enumerate(prog.outputs):
-        lines.append(f"        OUT[{k}, w] = {ref[o]}")
-    return "\n".join(lines) + "\n"
-
-
 def run_program(prog: BitProgram, ins: Sequence[int], lanes: int) -> List[int]:
     """Reference IR interpreter (tests use it to pin codegen semantics)."""
     mask = (1 << lanes) - 1
@@ -652,26 +618,6 @@ def compile_jit(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
     return plan
 
 
-def compile_numba(netlist: Netlist, *, optimize: bool = True):
-    """Opt-in numba backend: per-word ``uint64`` loop kernel under
-    ``numba.njit``.  Raises :class:`~repro.errors.BuildError` when numba
-    is not importable — the bignum backend is the supported default."""
-    try:
-        import numba
-    except ImportError as exc:  # pragma: no cover - numba not in CI image
-        raise BuildError(
-            "the numba JIT backend requires numba; install it or use the "
-            "default bignum backend"
-        ) from exc
-    prog = lower(netlist, fold=optimize, share=optimize)
-    if optimize:
-        prog, _ = optimize_program(prog)
-    source = codegen_words(prog)
-    ns: Dict[str, object] = {"np": np}
-    exec(compile(source, "<repro-jit-words>", "exec"), ns)
-    return numba.njit(cache=False)(ns["_jit_words"])  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # Caches: in-memory (weak) + persistent on-disk
 # ---------------------------------------------------------------------------
@@ -713,15 +659,17 @@ def _cache_path(key: str) -> Optional[str]:
     return os.path.join(base, f"{key[:40]}.rjit")
 
 
-def _jit_key(netlist: Netlist, optimize: bool = True) -> str:
+def _jit_key(netlist: Netlist) -> str:
     """Disk-cache key: netlist content hash (shared with
     :func:`repro.circuits.serialize.load`'s staleness logic) + codegen
-    format version + interpreter bytecode magic + pass configuration."""
+    format version + interpreter bytecode magic.  Cached plans are
+    always optimised; the literal ``:opt`` tail keeps the keys of
+    existing disk entries unchanged."""
     base = _KEY_CACHE.get(netlist)
     if base is None:
         base = netlist_key(netlist)
         _KEY_CACHE[netlist] = base
-    tail = f":{CODEGEN_VERSION}:{_PY_TAG}:{'opt' if optimize else 'raw'}"
+    tail = f":{CODEGEN_VERSION}:{_PY_TAG}:opt"
     return hashlib.sha256((base + tail).encode()).hexdigest()
 
 
@@ -811,7 +759,7 @@ def _load_disk_by_path(path: str, key: Optional[str] = None
     return plan
 
 
-def get_jit_plan(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
+def get_jit_plan(netlist: Netlist) -> JitPlan:
     """Return the cached JIT plan for ``netlist``, compiling on first use.
 
     Lookup order: weak in-memory cache, persistent disk cache (content-
@@ -829,7 +777,7 @@ def get_jit_plan(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
                     "JIT plan cache hits by tier", tier="memory",
                 ).inc()
             return plan
-        key = _jit_key(netlist, optimize)
+        key = _jit_key(netlist)
         plan = _load_disk(key)
         if plan is not None:
             if obs.OBS.enabled:
@@ -846,7 +794,7 @@ def get_jit_plan(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
                 "jit.compile", netlist=netlist.name,
                 elements=len(netlist.elements),
             ) as attrs:
-                plan = compile_jit(netlist, optimize=optimize)
+                plan = compile_jit(netlist)
                 attrs.update(ops=plan.n_ops,
                              codegen_s=plan.stats.get("codegen_s"))
             reg = obs.OBS.registry
@@ -856,7 +804,7 @@ def get_jit_plan(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
                           "Wall-clock of one lower+optimize+codegen run"
                           ).observe(plan.stats.get("codegen_s", 0.0))
         else:
-            plan = compile_jit(netlist, optimize=optimize)
+            plan = compile_jit(netlist)
         _write_disk(key, plan)
         _JIT_CACHE[netlist] = plan
         return plan

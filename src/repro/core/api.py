@@ -5,7 +5,7 @@ module supplies the generality: inputs of arbitrary length are padded
 with 1's up to the next power of two (padding 1's sort to the bottom and
 are stripped), so downstream users get a plain ``sort_bits`` call.
 
-Two serving-oriented features live here as well:
+Three serving-oriented features live here as well:
 
 * the sorter cache is a **bounded, thread-safe LRU** — long-running
   services calling :func:`sort_bits` across many sizes/networks no
@@ -17,10 +17,9 @@ Two serving-oriented features live here as well:
   hardware (:mod:`repro.circuits.checkers`) under a recovery policy, so
   a faulty netlist is detected online and the call still returns the
   correct answer via fallback;
-* :func:`sort_bits_many` sorts a whole batch of sequences, optionally
-  sharded over crash-isolated worker processes (``jobs=N``, via
-  :mod:`repro.parallel`) with results in input order regardless of
-  which worker sorted what.
+* :func:`sort_bits_many` sorts a whole batch of sequences in input
+  order — a plain loop over :func:`sort_bits` that validates every
+  sequence before sorting any.
 """
 
 from __future__ import annotations
@@ -130,87 +129,28 @@ def sort_bits(
     return out[: arr.size]
 
 
-def _batch_worker_init(arg) -> None:
-    """Pre-warm each worker's sorter LRU for the sizes in the batch, so
-    the (multi-second at large n) netlist builds happen once per worker
-    instead of lazily inside the first guarded item."""
-    network, sizes = arg
-    for n in sizes:
-        make_sorter(n, network)
-
-
-def _sort_shard(payload) -> List[np.ndarray]:
-    """Sort one contiguous shard of the batch (runs in a worker)."""
-    network, pipelined, supervised, arrays = payload
-    return [
-        sort_bits(arr, network=network, pipelined=pipelined,
-                  supervised=supervised)
-        for arr in arrays
-    ]
-
-
 def sort_bits_many(
     seqs: Sequence,
     network: str = "mux_merger",
     pipelined: bool = False,
     supervised: bool = False,
-    jobs: int = 1,
 ) -> List[np.ndarray]:
     """Sort many 0/1 sequences; results come back in input order.
 
     The batch equivalent of :func:`sort_bits` (same padding, same
-    networks, same ``supervised`` routing).  With ``jobs > 1`` the batch
-    is sharded over that many crash-isolated worker processes
-    (:mod:`repro.parallel`); each worker sorts its shard with warm
-    per-process sorter caches and deadlines that preempt on the worker's
-    main thread.  Results are deterministic and identical to a serial
-    call — parallelism never reorders or changes outputs.
-
-    Unlike the sweep/campaign tools, a batch sort has no quarantine
-    side-channel to report into, so a shard that fails (or whose worker
-    dies) raises :class:`~repro.errors.SimulationError` naming the
-    shard; partial results are never returned silently.
+    networks, same ``supervised`` routing).  Every sequence is checked
+    for 0/1 values before any is sorted, so a bad entry raises
+    :class:`~repro.errors.SimulationError` without partial work.
     """
     arrays = [np.asarray(s, dtype=np.uint8).ravel() for s in seqs]
     for arr in arrays:
         if arr.size and arr.max() > 1:
             raise SimulationError("sort_bits_many expects 0/1 sequences")
-    if not arrays:
-        return []
-    if jobs is None or jobs <= 1 or len(arrays) == 1:
-        return [
-            sort_bits(arr, network=network, pipelined=pipelined,
-                      supervised=supervised)
-            for arr in arrays
-        ]
-    from ..parallel import run_items
-
-    jobs = min(int(jobs), len(arrays))
-    n_shards = min(len(arrays), jobs * 4)
-    bounds = np.linspace(0, len(arrays), n_shards + 1, dtype=int)
-    shards = [
-        (f"shard{i}", (network, pipelined, supervised,
-                       arrays[bounds[i]:bounds[i + 1]]))
-        for i in range(n_shards)
-        if bounds[i] < bounds[i + 1]
+    return [
+        sort_bits(arr, network=network, pipelined=pipelined,
+                  supervised=supervised)
+        for arr in arrays
     ]
-    min_pad = 4 if network == "fish" else 2
-    sizes = sorted({
-        next_power_of_two(max(arr.size, min_pad))
-        for arr in arrays if arr.size > 1
-    })
-    outcomes = run_items(
-        shards, _sort_shard, jobs=jobs,
-        worker_init=_batch_worker_init, init_arg=(network, sizes),
-        span="api.sort_shard",
-    )
-    failed = [o for o in outcomes if not o.ok]
-    if failed:
-        raise SimulationError(
-            f"sort_bits_many: {len(failed)} shard(s) failed; first: "
-            f"{failed[0].id}: {failed[0].error}"
-        )
-    return [out for o in outcomes for out in o.value]
 
 
 def clear_cache() -> None:

@@ -318,62 +318,20 @@ class Supervisor:
         return out
 
     def run_many(
-        self, seqs, pipelined: bool = False, jobs: int = 1
+        self, seqs, pipelined: bool = False
     ) -> Tuple[List[np.ndarray], List[CallReport]]:
         """Supervised sort of a whole batch; results in input order.
 
         Returns ``(outputs, reports)`` — one sorted array and one
-        :class:`CallReport` per input sequence, and every report is
-        folded into this supervisor's :class:`SupervisorStats` exactly
-        as serial calls would be.
-
-        With ``jobs > 1`` the batch shards over crash-isolated worker
-        processes (:mod:`repro.parallel`); each worker runs its shard
-        through its own supervisor built from the same ``network`` and
-        ``policy``, on its process main thread — so ``deadline_s``
-        budgets genuinely preempt — and ships the per-call reports back
-        for the parent to fold in.  A custom ``hardware`` hook forces
-        the serial path: the hook is process-local state the workers
-        could not faithfully rebuild.  A shard whose worker fails or
-        dies raises :class:`~repro.errors.SimulationError`; partial
-        results are never returned silently.
+        :class:`CallReport` per input sequence, each from
+        :meth:`sort_verbose`, so every report is folded into this
+        supervisor's :class:`SupervisorStats`.
         """
-        arrays = [np.asarray(s, dtype=np.uint8).ravel() for s in seqs]
-        if (jobs is None or jobs <= 1 or len(arrays) <= 1
-                or self._hardware is not None):
-            outs, reports = [], []
-            for arr in arrays:
-                out, report = self.sort_verbose(arr, pipelined=pipelined)
-                outs.append(out)
-                reports.append(report)
-            return outs, reports
-        from ..parallel import run_items
-
-        jobs = min(int(jobs), len(arrays))
-        n_shards = min(len(arrays), jobs * 4)
-        bounds = np.linspace(0, len(arrays), n_shards + 1, dtype=int)
-        shards = [
-            (f"shard{i}", (self.network, self.policy, pipelined,
-                           arrays[bounds[i]:bounds[i + 1]]))
-            for i in range(n_shards)
-            if bounds[i] < bounds[i + 1]
-        ]
-        outcomes = run_items(
-            shards, _run_many_shard, jobs=jobs,
-            span="supervisor.sort_shard",
-        )
-        failed = [o for o in outcomes if not o.ok]
-        if failed:
-            raise SimulationError(
-                f"run_many: {len(failed)} shard(s) failed; first: "
-                f"{failed[0].id}: {failed[0].error}"
-            )
         outs, reports = [], []
-        for outcome in outcomes:
-            for out, report in outcome.value:
-                outs.append(out)
-                reports.append(report)
-                self.stats.record(report)
+        for seq in seqs:
+            out, report = self.sort_verbose(seq, pipelined=pipelined)
+            outs.append(out)
+            reports.append(report)
         return outs, reports
 
     def sort_verbose(
@@ -515,18 +473,6 @@ class Supervisor:
 # ---------------------------------------------------------------------------
 # Shared per-network supervisors (used by core.api.sort_bits)
 # ---------------------------------------------------------------------------
-
-def _run_many_shard(payload) -> List[Tuple[np.ndarray, CallReport]]:
-    """Sort one :meth:`Supervisor.run_many` shard in a worker process.
-
-    Rebuilds a supervisor from the (picklable) network name and policy;
-    the worker's own stats object is throwaway — the parent folds the
-    returned :class:`CallReport` objects into the real one.
-    """
-    network, policy, pipelined, arrays = payload
-    sup = Supervisor(network, policy=policy)
-    return [sup.sort_verbose(arr, pipelined=pipelined) for arr in arrays]
-
 
 _SUPERVISORS: Dict[str, Supervisor] = {}
 _SUPERVISORS_LOCK = threading.RLock()

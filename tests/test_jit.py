@@ -16,6 +16,7 @@ The load-bearing guarantees, in the order the issue states them:
   triggering compile storms.
 """
 
+import inspect
 import os
 import signal
 import subprocess
@@ -206,32 +207,6 @@ class TestOptimizePasses:
                 for k in range(6))
             outs.append(fn(ins, (1 << batch.shape[0]) - 1))
         assert outs[0] == outs[1]
-
-    def test_words_kernel_parity(self):
-        """The numba backend's per-word kernel is plain Python with
-        identical semantics (numba itself is optional)."""
-        net = make_sorter(8, "mux_merger")
-        prog, _ = jit.optimize_program(jit.lower(net))
-        src = jit.codegen_words(prog)
-        ns = {"np": np}
-        exec(compile(src, "<words>", "exec"), ns)
-        batch = exhaustive_inputs(8)
-        lanes = batch.shape[0]
-        words = (lanes + 63) // 64
-        IN = np.zeros((8, words), dtype=np.uint64)
-        packed = np.packbits(np.ascontiguousarray(batch.T), axis=1,
-                             bitorder="little")
-        buf = packed.tobytes()
-        stride = packed.shape[1]
-        for k in range(8):
-            IN[k] = np.frombuffer(
-                buf[k * stride:(k + 1) * stride].ljust(words * 8, b"\0"),
-                dtype=np.uint64)
-        OUT = np.zeros((8, words), dtype=np.uint64)
-        ns["_jit_words"](IN, OUT)
-        got = np.unpackbits(OUT.view(np.uint8), axis=1,
-                            bitorder="little")[:, :lanes].T
-        assert np.array_equal(simulate_interpreted(net, batch), got)
 
 
 class TestDiskCache:
@@ -484,7 +459,11 @@ class TestJitPlanSurface:
             for lane in range(lanes):
                 assert (word >> lane) & 1 == ref[lane, j]
 
-    def test_numba_backend_gated(self):
-        pytest.importorskip("numba", reason="numba backend is opt-in")
-        net = make_sorter(8, "prefix")
-        jit.compile_numba(net)
+    def test_get_jit_plan_has_no_optimize_switch(self):
+        """The plan cache is keyed on the netlist alone, so it only ever
+        holds optimised plans; the unoptimised reference is
+        ``compile_jit(optimize=False)``, which bypasses every cache."""
+        assert "optimize" not in inspect.signature(jit.get_jit_plan).parameters
+        net = make_sorter(16, "prefix")
+        assert jit.compile_jit(net, optimize=False).n_ops > \
+            jit.get_jit_plan(net).n_ops

@@ -212,7 +212,6 @@ def item_stats(events):
     stats = {}
     quarantined = []
     for span_name in ("sweep.item", "campaign.item", "parallel.item",
-                      "api.sort_shard", "supervisor.sort_shard",
                       "soak.chunk"):
         spans = [ev for ev in events if ev.get("name") == span_name]
         if not spans:
