@@ -126,17 +126,6 @@ class TestVerifyHelpers:
         net = b.build(list(ws))  # identity is not a sorter
         assert not verify_sorter_exhaustive(net)
 
-    def test_exhaustive_chunked_verdicts(self):
-        """Splitting the input space into many small chunks changes
-        neither verdict."""
-        from repro.circuits import CircuitBuilder
-
-        assert verify_sorter_exhaustive(build_mux_merger_sorter(16),
-                                        batch_bits=10)
-        b = CircuitBuilder()
-        net = b.build(list(b.add_inputs(10)))  # identity
-        assert not verify_sorter_exhaustive(net, batch_bits=8)
-
     def test_exhaustive_refuses_wide(self):
         with pytest.raises(ValueError):
             verify_sorter_exhaustive(build_mux_merger_sorter(32))
