@@ -14,9 +14,10 @@ as executable circuits with the exact cost/depth accounting of Section II:
   plans: fused gather/kernel/scatter steps per (level, kind) group, a
   bit-packed 64-lanes-per-word fast path, and a weak-keyed plan cache.
 * :mod:`~repro.circuits.jit` — one level further down: code-generated
-  straight-line bit-slice kernels with bit-level optimization passes
-  (constant propagation, CSE, dead-code elimination, cross-level
-  fusion) and a persistent content-hash-keyed disk cache.
+  straight-line bit-slice kernels, optimized in one pass (constant
+  folding and CSE while lowering, then dead-code elimination, then
+  cross-level fusion in codegen) and kept in a persistent
+  content-hash-keyed disk cache.
 * :mod:`~repro.circuits.sequential` — Model B: timelines, pipeline
   levelization, and a cycle-accurate pipelined executor.
 * :mod:`~repro.circuits.faults` — declarative fault models (stuck-at,
@@ -79,10 +80,9 @@ from .jit import (
     JitPlan,
     compile_jit,
     get_jit_plan,
-    optimize_program,
 )
 from .lowering import gate_count, gate_depth, lower_to_gates
-from .opt import fold_constants, optimize, prune_dead
+from .opt import prune_dead
 from .paths import critical_path, level_histogram, path_kind_summary
 from .serialize import from_json, load, save, to_json
 from .netlist import CircuitStats, Netlist
@@ -148,7 +148,6 @@ __all__ = [
     "equivalent",
     "exhaustive_inputs",
     "fault_set_id",
-    "fold_constants",
     "from_json",
     "fuse_elements",
     "gate_count",
@@ -160,8 +159,6 @@ __all__ = [
     "levelize",
     "load",
     "lower_to_gates",
-    "optimize",
-    "optimize_program",
     "path_kind_summary",
     "plan_cache_size",
     "popcount_cost_bound",

@@ -21,19 +21,21 @@ precision integers, where every batch lane is one bit of the word
   size.
 
 Lowering goes through an explicit SSA bit-op IR (:class:`BitProgram`)
-so that plan-level optimization passes can run before codegen.  These
-passes extend the netlist-level ``prune_dead``/``fold_constants`` of
-:mod:`repro.circuits.opt` down to the bit level, where sharing that is
-invisible between elements (a ``COMPARATOR``'s AND versus an explicit
-``AND`` gate in a prefix-adder cone) becomes explicit:
+and optimizes in one pass.  :func:`lower` folds constants and
+hash-conses as it emits each node, so sharing that is invisible between
+elements (a ``COMPARATOR``'s AND versus an explicit ``AND`` gate in a
+prefix-adder cone) collapses as soon as it appears:
 
-* :func:`propagate_constants` — fold constant wires through every
-  element kind, including steering/control wires of switches;
-* :func:`share_subexpressions` — global common-subexpression sharing by
-  hash-consing with commutative normalization;
-* :func:`eliminate_dead` — drop every operation with no path to a
-  primary output;
-* :func:`optimize_program` — all of the above to completion.
+* constant wires fold through every element kind, including the
+  steering/control wires of switches;
+* global common subexpressions are shared by hash-consing with
+  commutative operand normalization.
+
+:func:`eliminate_dead` then drops every operation with no path to a
+primary output (the bit-level analog of
+:func:`repro.circuits.opt.prune_dead`).  ``lower(net, optimize=False)``
+is the direct, unoptimized translation the optimized kernels are
+differentially tested against.
 
 Compiled plans are cached three deep: a weak-keyed in-memory cache
 (:func:`get_jit_plan`, mirroring the engine's plan cache), and a
@@ -90,10 +92,7 @@ __all__ = [
     "jit_mode",
     "lower",
     "maybe_jit",
-    "optimize_program",
-    "propagate_constants",
     "run_program",
-    "share_subexpressions",
 ]
 
 #: Environment switch for the automatic routing in ``simulate``:
@@ -155,23 +154,22 @@ class BitProgram:
 
 
 class _Builder:
-    """Emit IR nodes with optional folding and hash-consing.
+    """Emit IR nodes, optionally optimizing each one as it is emitted.
 
-    ``fold`` enables constant propagation and algebraic identities
-    (the bit-level extension of :func:`repro.circuits.opt.fold_constants`,
-    including constants arriving on steering/control wires);
-    ``share`` enables global CSE by hash-consing with commutative
-    operand normalization.
+    With ``optimize`` every node first goes through constant propagation
+    and algebraic identities (including constants arriving on
+    steering/control wires), then through global CSE by hash-consing
+    with commutative operand normalization.  Operands are already
+    optimized when their consumer is emitted, so one walk reaches the
+    fixed point of both.
     """
 
-    def __init__(self, n_inputs: int, fold: bool, share: bool) -> None:
+    def __init__(self, n_inputs: int, optimize: bool) -> None:
         self.nodes: List[Tuple[str, int, int]] = [(_C0, 0, 0), (_C1, 0, 0)]
         self.nodes.extend((_IN, i, 0) for i in range(n_inputs))
         self.memo: Optional[Dict[Tuple[str, int, int], int]] = (
-            {} if share else None
+            {} if optimize else None
         )
-        self.fold = fold
-        self.n_inputs = n_inputs
 
     def input(self, position: int) -> int:
         return 2 + position
@@ -183,21 +181,20 @@ class _Builder:
     def emit(self, op: str, a: int, b: int) -> int:
         if a > b:  # AND/OR/XOR are all commutative
             a, b = b, a
-        if self.fold:
-            folded = self._fold(op, a, b)
-            if folded is not None:
-                return folded
-        if self.memo is not None:
-            key = (op, a, b)
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-            nid = len(self.nodes)
-            self.nodes.append(key)
-            self.memo[key] = nid
-            return nid
-        self.nodes.append((op, a, b))
-        return len(self.nodes) - 1
+        if self.memo is None:
+            self.nodes.append((op, a, b))
+            return len(self.nodes) - 1
+        folded = self._fold(op, a, b)
+        if folded is not None:
+            return folded
+        key = (op, a, b)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        nid = len(self.nodes)
+        self.nodes.append(key)
+        self.memo[key] = nid
+        return nid
 
     def _fold(self, op: str, a: int, b: int) -> Optional[int]:
         # operands are sorted, so any constant is in ``a``.
@@ -262,15 +259,14 @@ def _switch4_mask(b: _Builder, sels: frozenset, selmask: Sequence[int],
     return b.not_(xor_hl)  # {0, 3}: hi == lo
 
 
-def lower(netlist: Netlist, *, fold: bool = True,
-          share: bool = True) -> BitProgram:
-    """Lower a netlist to the bit-op IR.
+def lower(netlist: Netlist, *, optimize: bool = True) -> BitProgram:
+    """Lower a netlist to the bit-op IR, folding and sharing as it goes.
 
-    With ``fold``/``share`` disabled the translation is direct (one
-    cluster of ops per element, nothing merged) — the baseline the
-    optimization passes are differentially tested against.
+    With ``optimize=False`` the translation is direct (one cluster of
+    ops per element, nothing merged) — the baseline the optimized
+    programs are differentially tested against.
     """
-    b = _Builder(len(netlist.inputs), fold, share)
+    b = _Builder(len(netlist.inputs), optimize)
     val: Dict[int, int] = {}
     for pos, w in enumerate(netlist.inputs):
         val[w] = b.input(pos)
@@ -343,42 +339,8 @@ def lower(netlist: Netlist, *, fold: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# Optimization passes
+# Dead-code elimination
 # ---------------------------------------------------------------------------
-
-def _rebuild(prog: BitProgram, fold: bool, share: bool) -> BitProgram:
-    """Re-emit every node through a fresh builder with the given
-    folding/consing configuration, remapping operand ids."""
-    b = _Builder(prog.n_inputs, fold, share)
-    remap: Dict[int, int] = {0: 0, 1: 1}
-    for pos in range(prog.n_inputs):
-        remap[2 + pos] = b.input(pos)
-    for nid, (op, x, y) in enumerate(prog.nodes):
-        if op in _BINOPS:
-            remap[nid] = b.emit(op, remap[x], remap[y])
-    return BitProgram(
-        n_inputs=prog.n_inputs,
-        nodes=tuple(b.nodes),
-        outputs=tuple(remap[o] for o in prog.outputs),
-        name=prog.name,
-    )
-
-
-def propagate_constants(prog: BitProgram) -> BitProgram:
-    """Fold constant words through the program (including constants on
-    steering/control paths, which reach here as ordinary operands)."""
-    return _rebuild(prog, fold=True, share=False)
-
-
-def share_subexpressions(prog: BitProgram) -> BitProgram:
-    """Global common-subexpression elimination by hash-consing.
-
-    Works across element kinds — the AND inside a comparator and an
-    explicit AND gate over the same wires (as in the prefix-adder
-    cones) collapse to a single operation.
-    """
-    return _rebuild(prog, fold=False, share=True)
-
 
 def eliminate_dead(prog: BitProgram) -> BitProgram:
     """Drop every operation with no path to a primary output (the
@@ -406,22 +368,6 @@ def eliminate_dead(prog: BitProgram) -> BitProgram:
         outputs=tuple(remap[o] for o in prog.outputs),
         name=prog.name,
     )
-
-
-def optimize_program(prog: BitProgram) -> Tuple[BitProgram, Dict[str, int]]:
-    """Run every pass to a fixed point; returns ``(program, stats)``.
-
-    One combined fold+share rebuild reaches the fixed point of both
-    passes in a single walk (each emitted node sees already-normalized
-    operands); dead-code elimination then sweeps what folding orphaned.
-    """
-    before = prog.n_ops
-    opt = eliminate_dead(_rebuild(prog, fold=True, share=True))
-    return opt, {
-        "ops_before": before,
-        "ops_after": opt.n_ops,
-        "removed": before - opt.n_ops,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +544,12 @@ def _fn_from_code(code):
 def compile_jit(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
     """Compile ``netlist`` to a fresh :class:`JitPlan` (no caches)."""
     t0 = time.perf_counter()
-    prog = lower(netlist, fold=optimize, share=optimize)
-    naive_ops = prog.n_ops
+    prog = lower(netlist, optimize=optimize)
+    before = prog.n_ops
     if optimize:
-        prog, stats = optimize_program(prog)
-    else:
-        stats = {"ops_before": naive_ops, "ops_after": naive_ops,
-                 "removed": 0}
+        prog = eliminate_dead(prog)
+    stats = {"ops_before": before, "ops_after": prog.n_ops,
+             "removed": before - prog.n_ops}
     source = codegen(prog, fuse=optimize)
     code = _compile_source(source, "_jit_kernel")
     dt = time.perf_counter() - t0

@@ -1,26 +1,21 @@
-"""Netlist optimization passes.
+"""Netlist dead-element pruning.
 
-Constructions sometimes emit logic that a hardware implementation would
-never fabricate: elements whose outputs reach no primary output (e.g.
-the unused high slots of the Muller–Preparata decoder, or carry bits
-truncated by the prefix scan), and gates fed by constants.  These passes
-clean that up while *provably* preserving behavior (tests re-simulate):
+Constructions sometimes emit elements whose outputs reach no primary
+output (e.g. the unused high slots of the Muller–Preparata decoder, or
+the logic behind a truncated concentrator's dropped outputs).
+:func:`prune_dead` removes them while preserving behavior (tests
+re-simulate), so an element count covers only what hardware would
+fabricate; :mod:`repro.networks.concentrator` uses it for truncation.
 
-* :func:`prune_dead` — remove every element with no path to an output;
-* :func:`fold_constants` — propagate constant wires through gates and
-  switching elements, deleting elements that become constant or
-  pass-through;
-* :func:`optimize` — fold then prune, to a fixed point.
-
-The paper's cost claims are all checked on *unoptimized* netlists; the
-optimizer exists so users can also ask "what would synthesis keep?".
+The sorters' cost claims are checked on unpruned netlists.  Constant
+folding and subexpression sharing happen one level down, on bit
+programs, while :func:`repro.circuits.jit.lower` emits them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set
 
-from . import elements as el
 from .elements import Element
 from .netlist import Netlist
 
@@ -39,171 +34,3 @@ def prune_dead(netlist: Netlist) -> Netlist:
         netlist.n_wires, kept, netlist.inputs, netlist.outputs,
         constants, netlist.name, control_wires=netlist.control_wires,
     )
-
-
-def fold_constants(netlist: Netlist) -> Netlist:
-    """Propagate constants; delete elements that become trivial.
-
-    Wires that turn out constant are re-driven from shared constant
-    wires; elements whose output equals one of their inputs are replaced
-    by aliasing (no BUF cost added).
-    """
-    b_known: Dict[int, int] = dict(netlist.constants)  # wire -> const value
-    alias: Dict[int, int] = {}  # wire -> replacement wire
-
-    def res(w: int) -> int:
-        while w in alias:
-            w = alias[w]
-        return w
-
-    def val(w: int) -> Optional[int]:
-        return b_known.get(res(w))
-
-    new_elements: List[Element] = []
-    # shared constant wires (create lazily)
-    const_wires: Dict[int, int] = {}
-    n_wires = netlist.n_wires
-
-    def const_wire(v: int) -> int:
-        nonlocal n_wires
-        if v not in const_wires:
-            for w, kv in netlist.constants.items():
-                if kv == v:
-                    const_wires[v] = w
-                    break
-            else:
-                const_wires[v] = n_wires
-                n_wires += 1
-        return const_wires[v]
-
-    def set_const(w: int, v: int) -> None:
-        alias[w] = const_wire(v)
-        b_known[const_wire(v)] = v
-
-    for e in netlist.elements:
-        kind = e.kind
-        ins = [res(w) for w in e.ins]
-        vals = [b_known.get(w) for w in ins]
-        if kind == el.BUF:
-            alias[e.outs[0]] = ins[0]
-            continue
-        if kind in el.GATE_KINDS:
-            out = _fold_gate(kind, ins, vals)
-            if out is not None:
-                mode, payload = out
-                if mode == "const":
-                    set_const(e.outs[0], payload)
-                else:  # alias or inverted alias kept as element
-                    if mode == "alias":
-                        alias[e.outs[0]] = payload
-                    else:
-                        new_elements.append(
-                            Element(el.NOT, (payload,), e.outs, None)
-                        )
-                continue
-        elif kind == el.MUX2 and vals[2] is not None:
-            alias[e.outs[0]] = ins[1] if vals[2] else ins[0]
-            continue
-        elif kind == el.SWITCH2 and vals[2] is not None:
-            if vals[2]:
-                alias[e.outs[0]], alias[e.outs[1]] = ins[1], ins[0]
-            else:
-                alias[e.outs[0]], alias[e.outs[1]] = ins[0], ins[1]
-            continue
-        elif kind == el.DEMUX2 and vals[1] is not None:
-            live, dead = (1, 0) if vals[1] else (0, 1)
-            alias[e.outs[live]] = ins[0]
-            set_const(e.outs[dead], 0)
-            continue
-        elif kind == el.COMPARATOR and (
-            vals[0] is not None or vals[1] is not None
-        ):
-            if vals[0] is not None and vals[1] is not None:
-                set_const(e.outs[0], vals[0] & vals[1])
-                set_const(e.outs[1], vals[0] | vals[1])
-            elif vals[0] == 0:
-                set_const(e.outs[0], 0)
-                alias[e.outs[1]] = ins[1]
-            elif vals[0] == 1:
-                alias[e.outs[0]] = ins[1]
-                set_const(e.outs[1], 1)
-            elif vals[1] == 0:
-                set_const(e.outs[0], 0)
-                alias[e.outs[1]] = ins[0]
-            else:  # vals[1] == 1
-                alias[e.outs[0]] = ins[0]
-                set_const(e.outs[1], 1)
-            continue
-        new_elements.append(Element(kind, tuple(ins), e.outs, e.params))
-
-    constants = {w: v for w, v in netlist.constants.items()}
-    for v, w in const_wires.items():
-        constants[w] = v
-    outputs = [res(w) for w in netlist.outputs]
-    # keep only constants that are actually referenced
-    used: Set[int] = set(outputs)
-    for e in new_elements:
-        used.update(e.ins)
-    constants = {w: v for w, v in constants.items() if w in used}
-    return Netlist(
-        n_wires, new_elements, netlist.inputs, outputs, constants,
-        netlist.name, control_wires=netlist.control_wires,
-    )
-
-
-def _fold_gate(kind, ins, vals) -> Optional[Tuple[str, int]]:
-    """Fold one gate; returns (mode, payload) or None to keep it.
-
-    mode: "const" (payload = 0/1), "alias" (payload = wire), or
-    "not" (payload = wire to invert).
-    """
-    a, c = vals[0], vals[-1]
-    if kind == el.NOT:
-        if a is not None:
-            return ("const", a ^ 1)
-        return None
-    if len(ins) == 2 and ins[0] == ins[1]:
-        # idempotent / self-cancelling pairs
-        if kind in (el.AND, el.OR):
-            return ("alias", ins[0])
-        if kind == el.XOR:
-            return ("const", 0)
-        if kind == el.XNOR:
-            return ("const", 1)
-        if kind in (el.NAND, el.NOR):
-            return ("not", ins[0])
-    if a is None and c is None:
-        return None
-    known, other = (a, ins[1]) if a is not None else (c, ins[0])
-    if a is not None and c is not None:
-        table = {
-            el.AND: a & c, el.OR: a | c, el.XOR: a ^ c,
-            el.NAND: (a & c) ^ 1, el.NOR: (a | c) ^ 1, el.XNOR: (a ^ c) ^ 1,
-        }
-        return ("const", table[kind])
-    if kind == el.AND:
-        return ("alias", other) if known else ("const", 0)
-    if kind == el.OR:
-        return ("const", 1) if known else ("alias", other)
-    if kind == el.XOR:
-        return ("not", other) if known else ("alias", other)
-    if kind == el.NAND:
-        return ("not", other) if known else ("const", 1)
-    if kind == el.NOR:
-        return ("const", 0) if known else ("not", other)
-    if kind == el.XNOR:
-        return ("alias", other) if known else ("not", other)
-    return None
-
-
-def optimize(netlist: Netlist, max_rounds: int = 8) -> Netlist:
-    """Constant-fold and dead-prune to a fixed point."""
-    current = netlist
-    for _ in range(max_rounds):
-        folded = prune_dead(fold_constants(current))
-        if folded.cost() == current.cost() and len(folded.elements) == len(
-            current.elements
-        ):
-            return folded
-        current = folded
-    return current

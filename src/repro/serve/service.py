@@ -193,23 +193,22 @@ class SortingService:
                 credits_left=self.gate.available,
                 total_s=self._now() - t0,
             ))
+        tickets: List[_LaneTicket] = []
         try:
-            rows = self._lanes(request)
-            tickets = []
-            for width, row in rows:
-                fut = self._loop.create_future()
-                ticket = _LaneTicket(future=fut, admitted_at=t0)
-                tickets.append(ticket)
-                for batch in self.coalescer.add(
+            for width, row in self._lanes(request):
+                ticket = _LaneTicket(future=self._loop.create_future(),
+                                     admitted_at=t0)
+                self._ready.extend(self.coalescer.add(
                     Lane(width=width, bits=row, ticket=ticket), t0
-                ):
-                    self._ready.append(batch)
+                ))
+                tickets.append(ticket)
             self._wake.set()
             results: List[_LaneResult] = [await t.future for t in tickets]
         except asyncio.CancelledError:
+            self._abandon(tickets, n_lanes)
             raise
         except Exception as exc:  # lane build/execution trouble -> error resp
-            self.gate.release(n_lanes)
+            self._abandon(tickets, n_lanes)
             return self._finish(ServeResponse(
                 status="error", kind=request.kind, tag=request.tag,
                 error=repr(exc), total_s=self._now() - t0,
@@ -246,6 +245,25 @@ class SortingService:
                 [row, np.ones(width - row.size, dtype=np.uint8)]
             )
         return [(width, row)]
+
+    def _abandon(self, tickets: List[_LaneTicket], n_lanes: int) -> None:
+        """Give up an unanswered request's lanes without breaking the
+        queued + in-flight <= credits bound: lanes still queued are
+        cancelled and ``_execute`` returns their credits once their batch
+        has run; credits of lanes that already ran (or were never
+        queued) return now."""
+        for t in tickets:
+            t.future.cancel()  # no-op for lanes that already ran
+        queued = sum(1 for t in tickets if t.future.cancelled())
+        if n_lanes > queued:
+            self.gate.release(n_lanes - queued)
+
+    def _release_cancelled(self, batch: Batch) -> None:
+        """Return one credit per lane whose submitter gave up on it."""
+        cancelled = sum(1 for lane in batch.lanes
+                        if lane.ticket.future.cancelled())
+        if cancelled:
+            self.gate.release(cancelled)
 
     def _retry_hint(self) -> float:
         """Suggested backoff: time to drain the in-flight lanes at the
@@ -285,6 +303,7 @@ class SortingService:
                     lane.ticket.future.set_exception(
                         exc if isinstance(exc, ReproError) else ReproError(repr(exc))
                     )
+            self._release_cancelled(batch)
             return
         per_lane = outcome.wall_s / max(1, len(batch))
         self._ema_lane_s = 0.8 * self._ema_lane_s + 0.2 * per_lane
@@ -306,6 +325,7 @@ class SortingService:
                 queued_s=max(0.0, started - ticket.admitted_at),
                 service_s=per_lane,
             ))
+        self._release_cancelled(batch)
 
     def _assemble(
         self, request: ServeRequest, results: List[_LaneResult]

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.baselines.costmodels import SORTER_MODELS, TABLE2_ROWS
-from repro.circuits import CircuitBuilder, equivalent, lower_to_gates, optimize
+from repro.circuits import CircuitBuilder, equivalent, lower_to_gates, prune_dead
 from repro.core import build_mux_merger_sorter, build_prefix_sorter
 from repro.core.fish_sorter import FishSorter
 
@@ -21,7 +21,7 @@ class TestEquivalent:
 
     def test_optimized_equivalence(self):
         net = build_prefix_sorter(8)
-        assert equivalent(net, optimize(net))
+        assert equivalent(net, prune_dead(net))
 
     def test_detects_difference(self):
         a = build_mux_merger_sorter(8)

@@ -40,7 +40,7 @@ from repro.circuits import (
     fault_set_id,
     get_plan,
     k_fault_sets,
-    optimize,
+    prune_dead,
     sample_faults,
     simulate,
 )
@@ -194,7 +194,7 @@ class TestControlWireTagging:
 
     def test_optimize_preserves_control_tags(self):
         net = build_prefix_sorter(8)
-        assert optimize(net).control_wires == net.control_wires
+        assert prune_dead(net).control_wires == net.control_wires
 
 
 class TestStrictValidate:

@@ -1,13 +1,14 @@
 """Tests for the bit-slice JIT (repro.circuits.jit).
 
-The load-bearing guarantees, in the order the issue states them:
+The load-bearing guarantees:
 
 * **differential** — jit ≡ engine ≡ interpreter, bit for bit, on random
   netlists (every element kind, control-tagged steering wires),
   exhaustively for small sorters, and on *faulted* netlists (mutants are
   netlist rewrites, so they must flow through codegen unchanged);
-* **optimization passes are semantics-preserving** — a hypothesis
-  property over randomly built netlists;
+* **the optimizer is semantics-preserving** — folding and sharing while
+  lowering, then dead-code elimination; a hypothesis property over
+  randomly built netlists;
 * **the persistent disk cache never loads a torn entry** — atomic
   writes + checksum verification, proven against deliberate corruption
   and against a SIGKILLed writer;
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import engine as engine_mod
 from repro.circuits import jit
+from repro.circuits.checkers import with_checkers
 from repro.circuits.faults import (
     ControlInvert,
     OutputSwap,
@@ -133,20 +135,19 @@ class TestOptimizePasses:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_passes_preserve_semantics(self, seed):
-        """Property: no pass — individually or combined — ever changes
-        simulation results, including on control-tagged steering paths
-        (random_netlist tags every switch/mux select wire)."""
+        """Property: neither folding/sharing while lowering nor dead-code
+        elimination ever changes simulation results, including on
+        control-tagged steering paths (random_netlist tags every
+        switch/mux select wire)."""
         rng = np.random.default_rng(seed)
         net = random_netlist(rng, n_inputs=5, n_elements=30, n_outputs=4)
         batch = exhaustive_inputs(5)
         ref = simulate_interpreted(net, batch)
-        naive = jit.lower(net, fold=False, share=False)
+        lowered = jit.lower(net)
         programs = [
-            naive,
-            jit.propagate_constants(naive),
-            jit.share_subexpressions(naive),
-            jit.eliminate_dead(naive),
-            jit.optimize_program(naive)[0],
+            jit.lower(net, optimize=False),
+            lowered,
+            jit.eliminate_dead(lowered),
         ]
         lanes = batch.shape[0]
         packed_ref = None
@@ -168,10 +169,23 @@ class TestOptimizePasses:
 
     def test_optimizer_only_removes_ops(self):
         net = make_sorter(16, "prefix")
-        naive = jit.lower(net, fold=False, share=False)
-        opt, stats = jit.optimize_program(naive)
-        assert opt.n_ops <= naive.n_ops
+        naive = jit.lower(net, optimize=False)
+        stats = jit.compile_jit(net).stats
+        assert stats["ops_after"] <= stats["ops_before"] <= naive.n_ops
         assert stats["removed"] == stats["ops_before"] - stats["ops_after"]
+
+    @pytest.mark.parametrize("network, plain, checked", [
+        ("prefix", 3231, 3934),
+        ("mux_merger", 4482, 5653),
+    ])
+    def test_op_counts_pinned(self, network, plain, checked):
+        """The n=64 kernels' op counts: the serve fabric (checked
+        mux_merger) is where dead-code elimination removes ops."""
+        net = make_sorter(64, network)
+        full = with_checkers(net, sortedness=True, count=True,
+                             control=True).netlist
+        assert jit.compile_jit(net).n_ops == plain
+        assert jit.compile_jit(full).n_ops == checked
 
     def test_constant_folding_through_steering(self):
         """A switch whose control wire is constant folds to plain
@@ -183,7 +197,7 @@ class TestOptimizePasses:
         sel = b.const(1)
         lo, hi = b.switch2(a, c, sel)
         net = b.build(outputs=[lo, hi])
-        prog, _ = jit.optimize_program(jit.lower(net))
+        prog = jit.eliminate_dead(jit.lower(net))
         assert prog.n_ops == 0  # constant select: outputs are pass-through
         batch = exhaustive_inputs(2)
         assert np.array_equal(simulate_interpreted(net, batch),
@@ -191,7 +205,7 @@ class TestOptimizePasses:
 
     def test_codegen_fusion_matches_unfused(self, rng):
         net = random_netlist(rng, n_inputs=6, n_elements=50, n_outputs=6)
-        prog, _ = jit.optimize_program(jit.lower(net))
+        prog = jit.eliminate_dead(jit.lower(net))
         fused = jit.codegen(prog, fuse=True)
         unfused = jit.codegen(prog, fuse=False)
         assert fused.count("\n") < unfused.count("\n")

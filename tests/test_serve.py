@@ -364,6 +364,42 @@ class TestServiceEndToEnd:
         with pytest.raises(BuildError):
             asyncio.run(oversized())
 
+    def test_cancelled_submits_return_their_credits(self, rng):
+        """Cancelled, shed and completed submits all give their credits
+        back: after stop() the gate holds its whole capacity again."""
+
+        async def run():
+            cfg = _small_config(max_lanes=4, credits=8, max_delay_s=0.05)
+            async with SortingService(cfg) as svc:
+                def sort16():
+                    return svc.submit(sort_request(rng.integers(0, 2, 16)))
+
+                assert (await sort16()).ok  # builds the width-16 fabric
+                for _ in range(3):  # cancelled while awaiting the age flush
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(sort16(), 0.001)
+                for _ in range(200):  # their lanes age-flush and run
+                    await asyncio.sleep(0.01)
+                    if svc.gate.available == svc.gate.capacity:
+                        break
+                assert svc.gate.available == svc.gate.capacity
+                # Three sorts and the route's first lane fill one batch;
+                # the route is cancelled while its other lanes still wait.
+                sorts = [asyncio.ensure_future(sort16()) for _ in range(3)]
+                await asyncio.sleep(0)
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        svc.submit(route_request(rng.permutation(16))), 0.02)
+                assert all(r.ok for r in await asyncio.gather(*sorts))
+                flood = await svc.submit_many(
+                    [sort_request(rng.integers(0, 2, 16)) for _ in range(20)])
+                assert any(r.shed for r in flood)
+                assert any(r.ok for r in flood)
+            return svc.gate
+
+        gate = asyncio.run(asyncio.wait_for(run(), 60))
+        assert gate.available == gate.capacity
+
     def test_submit_requires_started_service(self):
         svc = SortingService(_small_config())
         with pytest.raises(BuildError):
