@@ -66,13 +66,17 @@ class FusedStep:
 
     ``in_idx``/``out_idx`` are ``(n_elements, arity)`` wire-index arrays;
     ``params`` is the stacked ``(n_elements, 4, 4)`` permutation table
-    for :data:`~repro.circuits.elements.SWITCH4` steps, else ``None``.
+    for :data:`~repro.circuits.elements.SWITCH4` steps, else ``None``;
+    ``src`` is the same table resolved to wire indices
+    (``src[e, sel, out]`` is the wire routed to output ``out`` under
+    select code ``sel``), so a SWITCH4 step gathers straight from ``V``.
     ``level`` is the execution level the step runs at (0-based);
     ``eidx`` maps each fused row back to its element's position in the
     source netlist's element list (observability's stable element id).
     """
 
-    __slots__ = ("kind", "in_idx", "out_idx", "params", "level", "eidx")
+    __slots__ = ("kind", "in_idx", "out_idx", "params", "level", "eidx",
+                 "src")
 
     kind: str
     in_idx: np.ndarray
@@ -80,6 +84,7 @@ class FusedStep:
     params: Optional[np.ndarray]
     level: int
     eidx: np.ndarray
+    src: Optional[np.ndarray]
 
 
 def fuse_elements(elements) -> List[FusedStep]:
@@ -105,10 +110,11 @@ def fuse_elements(elements) -> List[FusedStep]:
         in_idx = np.array([e.ins for _, e in group], dtype=np.intp)
         out_idx = np.array([e.outs for _, e in group], dtype=np.intp)
         eidx = np.array([i for i, _ in group], dtype=np.intp)
-        params = None
+        params = src = None
         if kind == el.SWITCH4:
             params = np.array([e.params for _, e in group], dtype=np.intp)
-        steps.append(FusedStep(kind, in_idx, out_idx, params, lvl, eidx))
+            src = np.take_along_axis(in_idx[:, None, :4], params, axis=2)
+        steps.append(FusedStep(kind, in_idx, out_idx, params, lvl, eidx, src))
     return steps
 
 
@@ -120,9 +126,18 @@ def apply_steps(V: np.ndarray, steps: Sequence[FusedStep], ones) -> None:
     in mask-select form so both interpretations share this code.
     """
     for step in steps:
-        A = V[step.in_idx]  # (m, arity, B) gather
         o = step.out_idx
         kind = step.kind
+        if kind == el.SWITCH4:
+            hi, lo = V[step.in_idx[:, 4]], V[step.in_idx[:, 5]]
+            nhi, nlo = hi ^ ones, lo ^ ones
+            masks = (nhi & nlo, nhi & lo, hi & nlo, hi & lo)
+            out = masks[0][:, None, :] & V[step.src[:, 0]]
+            for s in range(1, 4):
+                out |= masks[s][:, None, :] & V[step.src[:, s]]
+            V[o] = out
+            continue
+        A = V[step.in_idx]  # (m, arity, B) gather
         if kind == el.COMPARATOR:
             a, b = A[:, 0], A[:, 1]
             V[o[:, 0]] = a & b
@@ -139,17 +154,6 @@ def apply_steps(V: np.ndarray, steps: Sequence[FusedStep], ones) -> None:
             a, s = A[:, 0], A[:, 1]
             V[o[:, 0]] = a & (s ^ ones)
             V[o[:, 1]] = a & s
-        elif kind == el.SWITCH4:
-            data = A[:, :4]
-            hi, lo = A[:, 4], A[:, 5]
-            nhi, nlo = hi ^ ones, lo ^ ones
-            out = np.zeros(o.shape + (V.shape[1],), dtype=V.dtype)
-            masks = (nhi & nlo, nhi & lo, hi & nlo, hi & lo)
-            for s, mask in enumerate(masks):
-                src = step.params[:, s, :]  # (m, 4): out pos -> in pos
-                dsel = np.take_along_axis(data, src[:, :, None], axis=1)
-                out |= mask[:, None, :] & dsel
-            V[o] = out
         elif kind == el.NOT:
             V[o[:, 0]] = A[:, 0] ^ ones
         elif kind == el.AND:
@@ -314,11 +318,15 @@ class ExecutionPlan:
                     "Kernel time per fused-step element kind",
                     kind=step.kind,
                 ).inc(dt)
+                gathered = step.in_idx.size
+                if P is None and step.src is not None:
+                    # SWITCH4: both selects plus 4 sources per select code
+                    gathered = step.src.size + 2 * len(step.src)
                 reg.counter(
                     "repro_engine_gather_bytes_total",
                     "Bytes gathered from the value matrix",
                     kind=step.kind,
-                ).inc(step.in_idx.size * cols * item)
+                ).inc(gathered * cols * item)
                 reg.counter(
                     "repro_engine_scatter_bytes_total",
                     "Bytes scattered into the value matrix",

@@ -3,14 +3,14 @@
 The paper's Section IV applications — concentrators and the Fig. 10
 radix permuter — are a switching fabric; :mod:`repro.serve` serves
 them.  An asyncio :class:`SortingService` accepts **sort / concentrate
-/ route** requests, coalesces them into engine-sized batches (>= 64
-lanes rides the bit-packed path — batching is free throughput),
-executes each batch in one pass on self-checking hardware with the
-supervised degradation ladder, and applies **credit-based admission
-control**: bounded queues, explicit ``shed`` responses with retry
-hints, never unbounded latency.  The request framing and credit loop
-follow the zamlet NoC switch exemplar (header-routed packets,
-per-output occupancy, credit flow control).
+/ route** requests, coalesces the lanes queued while the fabric is
+busy into one batch (one bit-sliced pass sorts them all — batching is
+free throughput), executes each batch in one pass on self-checking
+hardware with the supervised degradation ladder, and applies
+**credit-based admission control**: bounded queues, explicit ``shed``
+responses with retry hints, never unbounded latency.  The request
+framing and credit loop follow the zamlet NoC switch exemplar
+(header-routed packets, per-output occupancy, credit flow control).
 
 Quick start::
 

@@ -1,28 +1,27 @@
-"""Batch coalescer: turn a request trickle into engine-sized batches.
+"""Batch coalescer: turn a request trickle into fabric-sized batches.
 
-The compiled engine's bit-packed path switches on at 64 lanes
-(``PACKED_MIN_BATCH``) and its per-pass fixed costs amortize over the
-whole batch, so coalescing same-width lanes into one pass is free
-throughput.  The coalescer keeps one bucket per padded width and
-flushes a bucket when either
+One pass of the bit-sliced fabric sorts every lane presented with it
+and costs far less than one pass per lane, so same-width lanes that are
+queued together should run together.  The coalescer keeps one bucket
+per padded width; a bucket flushes
 
-* it reaches ``max_lanes`` (a full batch — flush immediately), or
-* its **oldest** lane has waited ``max_delay_s`` (the age bound: a lane
-  is never held longer than one coalescing window, no matter how empty
-  its bucket is — the no-starvation property ``tests/test_serve.py``
-  proves).
+* from :meth:`BatchCoalescer.add` as soon as it reaches ``max_lanes``
+  (reason ``"full"``), and
+* from :meth:`BatchCoalescer.poll`, which the service calls whenever the
+  fabric is free: every non-empty bucket flushes (reason ``"idle"``).
+  Dispatch is work-conserving — a lane never waits while the fabric
+  idles, and lanes that arrive while a batch runs share the next one.
 
 The class is deliberately synchronous and clock-parameterized (every
 method takes ``now``): the asyncio service drives it with the loop's
-clock, while property tests drive it with a virtual clock and exhaust
-the flush logic deterministically.
+clock, while property tests drive it with a virtual clock.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, List, Tuple
 
 import numpy as np
 
@@ -47,7 +46,7 @@ class Batch:
 
     width: int
     lanes: Tuple[Lane, ...]
-    reason: str  #: ``"full"`` | ``"age"`` | ``"drain"``
+    reason: str  #: ``"full"`` | ``"idle"`` | ``"drain"``
     oldest_age_s: float  #: wait of the longest-queued lane at flush time
     fill: float  #: ``len(lanes) / max_lanes`` — the batch-fill metric
 
@@ -60,15 +59,12 @@ class Batch:
 
 
 class BatchCoalescer:
-    """Per-width lane buckets with size- and age-triggered flushing."""
+    """Per-width lane buckets, flushed when full or when the fabric is free."""
 
-    def __init__(self, max_lanes: int = 256, max_delay_s: float = 0.002) -> None:
+    def __init__(self, max_lanes: int = 256) -> None:
         if max_lanes < 1:
             raise BuildError("max_lanes must be >= 1")
-        if max_delay_s < 0:
-            raise BuildError("max_delay_s must be >= 0")
         self.max_lanes = int(max_lanes)
-        self.max_delay_s = float(max_delay_s)
         # width -> deque of (enqueue_time, Lane); OrderedDict so flush
         # order across widths is deterministic (insertion order).
         self._buckets: "OrderedDict[int, Deque[Tuple[float, Lane]]]" = OrderedDict()
@@ -80,16 +76,6 @@ class BatchCoalescer:
     def depth(self) -> int:
         """Total queued lanes across all width buckets."""
         return self._depth
-
-    def next_deadline(self) -> Optional[float]:
-        """Earliest time any bucket must age-flush, or ``None`` if empty."""
-        oldest = None
-        for bucket in self._buckets.values():
-            if bucket:
-                t0 = bucket[0][0]
-                if oldest is None or t0 < oldest:
-                    oldest = t0
-        return None if oldest is None else oldest + self.max_delay_s
 
     # -- mutation ------------------------------------------------------------
 
@@ -110,35 +96,26 @@ class BatchCoalescer:
         return []
 
     def poll(self, now: float) -> List[Batch]:
-        """Flush every bucket whose oldest lane has aged out."""
-        out = []
-        for width in list(self._buckets):
-            bucket = self._buckets[width]
-            if bucket and now - bucket[0][0] >= self.max_delay_s:
-                out.append(self._flush_bucket(width, now, "age"))
-        return out
+        """The fabric is free: flush every non-empty bucket."""
+        return self._flush_all(now, "idle")
 
     def drain(self, now: float) -> List[Batch]:
-        """Flush everything regardless of age (service shutdown)."""
-        return [
-            self._flush_bucket(width, now, "drain")
-            for width in list(self._buckets)
-            if self._buckets[width]
-        ]
+        """Flush everything (service shutdown)."""
+        return self._flush_all(now, "drain")
+
+    def _flush_all(self, now: float, reason: str) -> List[Batch]:
+        return [self._flush_bucket(width, now, reason)
+                for width in list(self._buckets)]
 
     def _flush_bucket(self, width: int, now: float, reason: str) -> Batch:
-        bucket = self._buckets[width]
-        taken = []
-        while bucket and len(taken) < self.max_lanes:
-            taken.append(bucket.popleft())
-        if not bucket:
-            del self._buckets[width]
+        # ``add`` flushes a bucket the moment it holds ``max_lanes``, so
+        # a flush always takes the whole bucket.
+        taken = self._buckets.pop(width)
         self._depth -= len(taken)
-        oldest_age = now - taken[0][0] if taken else 0.0
         return Batch(
             width=width,
             lanes=tuple(lane for _, lane in taken),
             reason=reason,
-            oldest_age_s=max(0.0, oldest_age),
+            oldest_age_s=max(0.0, now - taken[0][0]),
             fill=len(taken) / self.max_lanes,
         )

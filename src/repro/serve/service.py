@@ -10,9 +10,9 @@ sorting fabric.  A request's life:
    explicit backpressure, not latency collapse.
 2. **Coalescing** — admitted lanes join the per-width buckets of the
    :class:`~repro.serve.coalescer.BatchCoalescer`; a bucket flushes when
-   full (``max_lanes``) or when its oldest lane has waited
-   ``max_delay_s`` (the age bound — no request starves waiting for a
-   fuller batch).
+   full (``max_lanes``) or as soon as the fabric is free (work-conserving
+   dispatch: lanes that arrive while a batch runs share the next one,
+   and no lane waits while the fabric idles).
 3. **Execution** — each flushed batch is one pass of the
    :class:`~repro.serve.executor.FabricExecutor` on self-checking
    hardware (run on a worker thread so the event loop keeps accepting),
@@ -56,18 +56,16 @@ _LATENCY_BUCKETS = tuple(1e-4 * (2.0 ** i) for i in range(17))
 class ServeConfig:
     """Service knobs (environment mapping in docs/SERVING.md).
 
-    ``max_lanes`` is the batch size the coalescer aims for — keep it at
-    or above 64 so flushes ride the engine's bit-packed path.
+    ``max_lanes`` caps the lanes of one fabric pass: a full bucket
+    flushes at once, and under saturation every batch is this size.
     ``credits`` bounds queued + in-flight lanes; with a mean batch
     service time *s* the worst-case queueing delay is roughly
     ``credits / max_lanes * s``, which is the lever for tuning a p99
-    SLO.  ``max_delay_s`` is the most latency a lane may spend waiting
-    for co-batched lanes.
+    SLO.
     """
 
     network: str = "mux_merger"
     max_lanes: int = 256
-    max_delay_s: float = 0.002
     credits: int = 2048
     control_checker: bool = True
 
@@ -114,10 +112,7 @@ class SortingService:
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         self.gate = CreditGate(self.config.credits)
-        self.coalescer = BatchCoalescer(
-            max_lanes=self.config.max_lanes,
-            max_delay_s=self.config.max_delay_s,
-        )
+        self.coalescer = BatchCoalescer(max_lanes=self.config.max_lanes)
         self.executor = FabricExecutor(
             self.config.network, control=self.config.control_checker
         )
@@ -267,28 +262,25 @@ class SortingService:
 
     def _retry_hint(self) -> float:
         """Suggested backoff: time to drain the in-flight lanes at the
-        current per-lane service rate, floored at one coalescing window."""
-        return max(
-            self.config.max_delay_s,
-            self.gate.in_flight * self._ema_lane_s,
-        )
+        current per-lane service rate, floored at one full batch."""
+        return self._ema_lane_s * max(self.config.max_lanes,
+                                      self.gate.in_flight)
 
     async def _batch_loop(self) -> None:
+        """Work-conserving dispatch: whenever the fabric is free, run
+        every queued lane.  The one-tick yield before each poll lets the
+        submitters a finished batch just woke enqueue their next lanes,
+        so co-arriving lanes share a pass instead of trickling in one
+        batch each."""
         while self._running:
+            await asyncio.sleep(0)
+            self._ready.extend(self.coalescer.poll(self._now()))
+            if not self._ready:
+                await self._wake.wait()
+                self._wake.clear()
+                continue
             while self._ready:
                 await self._execute(self._ready.popleft())
-            now = self._now()
-            for batch in self.coalescer.poll(now):
-                await self._execute(batch)
-            if self._ready:
-                continue
-            deadline = self.coalescer.next_deadline()
-            timeout = None if deadline is None else max(0.0, deadline - self._now())
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
 
     async def _execute(self, batch: Batch) -> None:
         started = self._now()

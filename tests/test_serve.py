@@ -2,9 +2,10 @@
 
 The four ISSUE-mandated properties, plus service correctness:
 
-* **no starvation** — every lane the coalescer accepts is flushed no
-  later than ``max_delay_s`` after it arrived (age bound), for arbitrary
-  arrival schedules (hypothesis drives a virtual clock);
+* **no starvation** — every ``poll`` (the fabric is free) empties the
+  coalescer, and every lane flushes exactly once, in FIFO order per
+  width, for arbitrary add/poll schedules (hypothesis drives a virtual
+  clock);
 * **lane bounds** — every flushed batch has ``1 <= lanes <= max_lanes``
   and one single width;
 * **credits never negative** — the gate's available count stays within
@@ -61,14 +62,14 @@ class TestCoalescer:
     )
     @settings(max_examples=60)
     def test_no_starvation_and_lane_bounds(self, seed, max_lanes, n_events):
-        """Age bound: a lane is never held past max_delay_s; every flush
-        respects [1, max_lanes] and is single-width."""
+        """Work-conserving flushes: every poll empties the coalescer, every
+        batch is single-width with 1..max_lanes lanes, and every lane
+        flushes exactly once, in FIFO order per width."""
         rng = np.random.default_rng(seed)
-        delay = 1.0
-        co = BatchCoalescer(max_lanes=max_lanes, max_delay_s=delay)
+        co = BatchCoalescer(max_lanes=max_lanes)
         now = 0.0
-        enqueued = {}  # id(lane) -> enqueue time
-        flushed = {}  # id(lane) -> flush time
+        enqueued = {}  # width -> lane ids in arrival order
+        flushed = {}  # width -> lane ids in flush order
 
         def account(batches):
             assert isinstance(batches, list)
@@ -76,36 +77,40 @@ class TestCoalescer:
                 assert 1 <= len(batch) <= max_lanes
                 assert all(lane.width == batch.width for lane in batch.lanes)
                 assert batch.rows().shape == (len(batch), batch.width)
-                for lane in batch.lanes:
-                    flushed[id(lane)] = now
+                flushed.setdefault(batch.width, []).extend(
+                    id(lane) for lane in batch.lanes)
 
+        lanes = []  # keep every lane alive so ids stay unique
         for _ in range(n_events):
             now += float(rng.uniform(0, 0.6))
-            # The service's loop shape: poll ages before admitting more.
-            account(co.poll(now))
+            if rng.random() < 0.3:
+                account(co.poll(now))
+                assert co.depth == 0
             lane = _lane(int(rng.choice([4, 8, 16])), rng)
-            enqueued[id(lane)] = now
+            lanes.append(lane)
+            enqueued.setdefault(lane.width, []).append(id(lane))
             account(co.add(lane, now))
-        # Keep polling on the same cadence until everything has aged out.
-        end = now + delay + 0.6
-        while now < end and co.depth:
-            now += 0.3
-            account(co.poll(now))
-        account(co.drain(now))
-
+        account(co.poll(now))
         assert co.depth == 0
-        assert set(flushed) == set(enqueued)
-        # A lane flushes at the first poll after its age bound; polls above
-        # are never more than 0.6 apart, so that is the starvation slack.
-        slack = 0.6 + 1e-9
-        for key, t0 in enqueued.items():
-            assert flushed[key] - t0 <= delay + slack
+        assert co.poll(now) == []
+        assert flushed == enqueued
+
+    def test_poll_flushes_a_lone_lane(self):
+        """A free fabric takes a lane at once: no age to wait out."""
+        lane = _lane(8, np.random.default_rng(2))
+        co = BatchCoalescer(max_lanes=64)
+        assert co.add(lane, 5.0) == []
+        (batch,) = co.poll(5.0)
+        assert batch.lanes == (lane,)
+        assert batch.reason == "idle"
+        assert batch.oldest_age_s == 0.0
+        assert co.depth == 0
 
     @given(seed=seeds, max_lanes=st.integers(1, 16))
     @settings(max_examples=40)
     def test_full_bucket_flushes_immediately(self, seed, max_lanes):
         rng = np.random.default_rng(seed)
-        co = BatchCoalescer(max_lanes=max_lanes, max_delay_s=1e9)
+        co = BatchCoalescer(max_lanes=max_lanes)
         for i in range(max_lanes - 1):
             assert co.add(_lane(8, rng), float(i)) == []
         (batch,) = co.add(_lane(8, rng), float(max_lanes))
@@ -114,21 +119,9 @@ class TestCoalescer:
         assert batch.fill == pytest.approx(1.0)
         assert co.depth == 0
 
-    def test_next_deadline_tracks_oldest_lane(self):
-        rng = np.random.default_rng(0)
-        co = BatchCoalescer(max_lanes=8, max_delay_s=0.5)
-        assert co.next_deadline() is None
-        co.add(_lane(4, rng), 10.0)
-        co.add(_lane(16, rng), 11.0)
-        assert co.next_deadline() == pytest.approx(10.5)
-        assert co.poll(10.4) == []
-        batches = co.poll(10.5)
-        assert [b.width for b in batches] == [4]
-        assert co.next_deadline() == pytest.approx(11.5)
-
     def test_widths_never_mix(self):
         rng = np.random.default_rng(1)
-        co = BatchCoalescer(max_lanes=64, max_delay_s=0.0)
+        co = BatchCoalescer(max_lanes=64)
         for width in (4, 8, 4, 16, 8):
             co.add(_lane(width, rng), 0.0)
         batches = co.poll(0.0)
@@ -139,8 +132,6 @@ class TestCoalescer:
     def test_rejects_bad_lane_and_config(self):
         with pytest.raises(BuildError):
             BatchCoalescer(max_lanes=0)
-        with pytest.raises(BuildError):
-            BatchCoalescer(max_delay_s=-1.0)
         co = BatchCoalescer()
         with pytest.raises(BuildError):
             co.add(Lane(width=8, bits=np.zeros(4, dtype=np.uint8)), 0.0)
@@ -261,7 +252,7 @@ class TestFabricExecutor:
 
 
 def _small_config(**kw) -> ServeConfig:
-    base = dict(max_lanes=16, max_delay_s=0.001, credits=64)
+    base = dict(max_lanes=16, credits=64)
     base.update(kw)
     return ServeConfig(**base)
 
@@ -302,12 +293,30 @@ class TestServiceEndToEnd:
         assert all(r.ok for r in responses)
         assert max(r.batch_lanes for r in responses) > 1
 
+    def test_co_arriving_submitters_share_a_batch(self, rng):
+        """40 closed-loop clients, 5 rounds each: every round's lanes are
+        queued before the free fabric polls, so each round is one batch."""
+
+        async def run():
+            async with SortingService(_small_config(max_lanes=64)) as svc:
+                async def client():
+                    for _ in range(5):
+                        resp = await svc.submit(
+                            sort_request(rng.integers(0, 2, 8)))
+                        assert resp.ok and resp.batch_lanes == 40
+                await asyncio.gather(*(client() for _ in range(40)))
+                return dict(svc.stats)
+
+        stats = asyncio.run(run())
+        assert stats["lanes"] == 200
+        assert stats["batches"] == 5
+
     def test_shed_under_starved_credits(self, rng):
         """A pool sized for one batch floods -> explicit sheds with retry
         hints, and every accepted answer is still correct."""
 
         async def flood():
-            cfg = _small_config(max_lanes=4, credits=4, max_delay_s=0.05)
+            cfg = _small_config(max_lanes=4, credits=4)
             async with SortingService(cfg) as svc:
                 reqs = [sort_request(rng.integers(0, 2, 8), tag=str(i))
                         for i in range(40)]
@@ -367,29 +376,47 @@ class TestServiceEndToEnd:
     def test_cancelled_submits_return_their_credits(self, rng):
         """Cancelled, shed and completed submits all give their credits
         back: after stop() the gate holds its whole capacity again."""
+        import threading
+
+        hold = threading.Event()  # partial batches wait for it; full ones pass
+        hold.set()
 
         async def run():
-            cfg = _small_config(max_lanes=4, credits=8, max_delay_s=0.05)
+            cfg = _small_config(max_lanes=4, credits=8)
             async with SortingService(cfg) as svc:
+                run_batch = svc.executor.run_batch
+
+                def held_run_batch(width, rows):
+                    if len(rows) < cfg.max_lanes:
+                        hold.wait()
+                    return run_batch(width, rows)
+
+                svc.executor.run_batch = held_run_batch
+
                 def sort16():
                     return svc.submit(sort_request(rng.integers(0, 2, 16)))
 
                 assert (await sort16()).ok  # builds the width-16 fabric
-                for _ in range(3):  # cancelled while awaiting the age flush
+                hold.clear()
+                for _ in range(3):  # cancelled while the fabric is held
                     with pytest.raises(asyncio.TimeoutError):
                         await asyncio.wait_for(sort16(), 0.001)
-                for _ in range(200):  # their lanes age-flush and run
+                hold.set()
+                for _ in range(200):  # their lanes run
                     await asyncio.sleep(0.01)
                     if svc.gate.available == svc.gate.capacity:
                         break
                 assert svc.gate.available == svc.gate.capacity
-                # Three sorts and the route's first lane fill one batch;
-                # the route is cancelled while its other lanes still wait.
+                # Three sorts and the route's first lane fill one batch,
+                # which runs; the route is cancelled while its other lanes
+                # wait in a held partial batch.
+                hold.clear()
                 sorts = [asyncio.ensure_future(sort16()) for _ in range(3)]
                 await asyncio.sleep(0)
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(
                         svc.submit(route_request(rng.permutation(16))), 0.02)
+                hold.set()
                 assert all(r.ok for r in await asyncio.gather(*sorts))
                 flood = await svc.submit_many(
                     [sort_request(rng.integers(0, 2, 16)) for _ in range(20)])
@@ -397,7 +424,10 @@ class TestServiceEndToEnd:
                 assert any(r.ok for r in flood)
             return svc.gate
 
-        gate = asyncio.run(asyncio.wait_for(run(), 60))
+        try:
+            gate = asyncio.run(asyncio.wait_for(run(), 60))
+        finally:
+            hold.set()
         assert gate.available == gate.capacity
 
     def test_submit_requires_started_service(self):

@@ -161,12 +161,11 @@ def run_cell(args, workload_name, mix):
         if mode == "batched":
             config = ServeConfig(
                 network=args.network, max_lanes=args.max_lanes,
-                max_delay_s=args.max_delay_ms * 1e-3, credits=args.credits,
+                credits=args.credits,
             )
         else:
             config = ServeConfig(
-                network=args.network, max_lanes=1, max_delay_s=0.0,
-                credits=args.credits,
+                network=args.network, max_lanes=1, credits=args.credits,
             )
         responses, wall_s, sheds = asyncio.run(drive(
             requests, arrivals, config,
@@ -236,7 +235,6 @@ def run_overload(args):
     )
     over_cfg = ServeConfig(
         network=args.network, max_lanes=args.max_lanes,
-        max_delay_s=args.max_delay_ms * 1e-3,
         credits=args.overload_credits,
     )
     responses, wall_s, _ = asyncio.run(drive(
@@ -251,8 +249,7 @@ def run_overload(args):
     )
     # Naive baseline on the accepted volume, for the goodput ratio.
     naive_cfg = ServeConfig(
-        network=args.network, max_lanes=1, max_delay_s=0.0,
-        credits=args.credits,
+        network=args.network, max_lanes=1, credits=args.credits,
     )
     naive_reqs = requests[: max(1, len(ok))]
     naive_resps, naive_wall, _ = asyncio.run(drive(
@@ -327,7 +324,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mix", default="sort=0.8,concentrate=0.1,route=0.1")
     parser.add_argument("--max-lanes", type=int, default=256)
-    parser.add_argument("--max-delay-ms", type=float, default=2.0)
     parser.add_argument("--credits", type=int, default=4096)
     parser.add_argument("--window", type=int, default=512,
                         help="client-side in-flight request window")
