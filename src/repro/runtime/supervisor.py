@@ -16,13 +16,18 @@ returned:
    input fools the hardware checker (which observes the faulted bus) but
    not the supervisor, which still holds the pre-corruption input.
 
-Any alarm, invariant failure, engine exception, or deadline triggers
-the :class:`RecoveryPolicy`: bounded retry with exponential backoff at
-the current tier, then graceful degradation down the execution ladder —
-code-generated JIT kernel → compiled engine → element-at-a-time
-interpreter oracle → behavioral ``np.sort`` — so a supervised call
-returns the *correct* answer even
-when the circuit itself is faulty (the acceptance criterion of the
+A rung that *runs* decides the call, as in :func:`checked_run`.  The
+sorters are deterministic and every rung evaluates the same checked
+hardware bit-identically, so a row one rung rejects (an alarm or an
+invariant failure) would be rejected again by a retry or a slower rung:
+the supervisor records the detections and answers with the behavioral
+``np.sort`` of the held input at once.  A rung that *fails to run* (an
+engine exception or the deadline) triggers the :class:`RecoveryPolicy`:
+bounded retry with exponential backoff at the current tier, then
+degradation down the execution ladder — code-generated JIT kernel →
+compiled engine → element-at-a-time interpreter oracle → behavioral
+``np.sort``.  Either way a supervised call returns the *correct* answer
+even when the circuit itself is faulty (the acceptance criterion of the
 supervised fault campaigns).  Per-call statistics (detections, alarm
 counts, tier usage, retries, latencies) accumulate in
 :class:`SupervisorStats`.
@@ -71,13 +76,15 @@ INVARIANT = "invariant"
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """What the supervisor does when a tier fails.
+    """What the supervisor does when a tier fails to run.
 
-    ``max_retries`` re-runs of a failing tier (exponential backoff from
-    ``backoff_s`` by ``backoff_factor``) before degrading to the next
-    tier; ``deadline_s`` is the per-attempt wall-clock budget (``None``
-    disables it); ``control_checker`` additionally attaches the
-    duplicate-and-compare steering checker to combinational hardware.
+    ``max_retries`` re-runs of a tier that raised or hit its deadline
+    (exponential backoff from ``backoff_s`` by ``backoff_factor``) before
+    degrading to the next tier; a tier that runs and rejects the row is
+    never retried (see :class:`Supervisor`).  ``deadline_s`` is the
+    per-attempt wall-clock budget (``None`` disables it);
+    ``control_checker`` additionally attaches the duplicate-and-compare
+    steering checker to combinational hardware.
 
     ``max_backoff_s`` caps each backoff sleep.  Unset, it defaults to
     ``deadline_s`` when a deadline is configured: uncapped,
@@ -290,7 +297,9 @@ class Supervisor:
     ) -> np.ndarray:
         """One attempt at ``tier``: a batch of one through the shared
         acceptance check, raising :class:`CheckerAlarm` (alarm names, or
-        ``"invariant"`` when only the software gate rejects) on refusal."""
+        ``"invariant"`` when only the software gate rejects) on refusal.
+        A refusal is final: :meth:`_supervise` answers it from the
+        behavioral rung without retrying."""
         rows = padded[None, :]
         if tier == "behavioral":
             return np.sort(padded)
@@ -405,6 +414,7 @@ class Supervisor:
         detections: List[str] = []
         attempts = retries = deadline_hits = 0
         last_error: Optional[BaseException] = None
+        rejected = False
         tiers = [
             t for t in TIERS
             if not (self.network == "fish" and t in ("jit", "interpreter"))
@@ -412,6 +422,8 @@ class Supervisor:
         # All trace_event calls are no-ops unless repro.obs is enabled;
         # they journal every decision the retry/degradation ladder takes.
         for tier_index, tier in enumerate(tiers):
+            if rejected and tier != TIERS[-1]:
+                continue
             if tier_index:
                 obs.trace_event("supervisor.degrade", network=self.network,
                                 to_tier=tier, attempts=attempts)
@@ -444,11 +456,16 @@ class Supervisor:
                                     tier=tier, attempts=attempts)
                     return data, report
                 except CheckerAlarm as exc:
+                    # The rung ran and rejected the row; every rung runs
+                    # the same deterministic hardware, so only the
+                    # behavioral rung can answer it.
                     detections.extend(exc.alarms)
                     last_error = exc
+                    rejected = True
                     obs.trace_event("supervisor.alarm", network=self.network,
                                     tier=tier, attempt=attempt,
                                     alarms=list(exc.alarms))
+                    break
                 except DeadlineExceeded as exc:
                     deadline_hits += 1
                     last_error = exc

@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,7 +83,6 @@ class _LaneTicket:
 
     future: "asyncio.Future"
     admitted_at: float
-    queued_s: float = 0.0
 
 
 @dataclass

@@ -106,3 +106,52 @@ def test_every_hardware_rung_down_recovers_behaviorally(rows, monkeypatch):
     assert outcome.recovered == outcome.lanes
     assert outcome.invariant_fails == 0 and outcome.detections == {}
     assert np.array_equal(outcome.data, np.sort(rows, axis=1))
+
+
+def _rejected_row(broken, rows):
+    """A row the broken fabric's jit rung rejects."""
+    _data, _alarms, accepted = supervisor.checked_pass(broken, rows, "jit")
+    assert not accepted.all()  # the fault really bites
+    return rows[np.flatnonzero(~accepted)[0]]
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(supervisor, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor, name, counted)
+    return calls
+
+
+def test_supervisor_rejection_skips_slower_rungs(broken, rows, monkeypatch):
+    row = _rejected_row(broken, rows)
+    calls = _count_calls(monkeypatch, ("simulate_engine", "simulate_interpreted"))
+    sup = Supervisor("mux_merger", policy=RecoveryPolicy(max_retries=1),
+                     hardware=lambda n: broken)
+    out, report = sup.sort_verbose(row)
+    assert np.array_equal(out, np.sort(row))
+    assert calls == {"simulate_engine": 0, "simulate_interpreted": 0}
+    assert report.tier == "behavioral" and report.detections
+    assert report.attempts == 2 and report.retries == 0
+
+
+def test_supervisor_retries_errors_but_not_rejections(broken, rows, monkeypatch):
+    """With the JIT disabled, the jit rung errors 1 + max_retries times,
+    the engine rung runs once and rejects, then behavioral answers."""
+    row = _rejected_row(broken, rows)
+    monkeypatch.setenv("REPRO_JIT", "0")
+    calls = _count_calls(
+        monkeypatch, ("simulate_jit", "simulate_engine", "simulate_interpreted"))
+    sup = Supervisor("mux_merger", policy=RecoveryPolicy(max_retries=2),
+                     hardware=lambda n: broken)
+    out, report = sup.sort_verbose(row)
+    assert np.array_equal(out, np.sort(row))
+    assert calls == {"simulate_jit": 3, "simulate_engine": 1,
+                     "simulate_interpreted": 0}
+    assert report.attempts == 5 and report.retries == 2
+    assert report.tier == "behavioral" and report.detections

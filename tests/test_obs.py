@@ -304,6 +304,13 @@ class TestActivity:
 
 # -- engine + supervisor integration -----------------------------------------
 
+def _supervisor_decisions():
+    """The supervisor's instant events in the ring, in order."""
+    return [r for r in obs.ring_events()
+            if r["name"].startswith("supervisor.")
+            and r["name"] != "supervisor.sort"]
+
+
 class TestIntegration:
     def test_engine_span_carries_step_profile(self):
         from repro.circuits import get_plan
@@ -325,8 +332,9 @@ class TestIntegration:
 
     def test_supervisor_events_on_fallback(self):
         """A supervisor run on broken hardware journals its decisions:
-        alarms on the failing tiers, retries, degradations, and the
-        final acceptance."""
+        the alarm, the one degradation straight to behavioral, and the
+        final acceptance.  A rejection is never retried; retries and
+        rung-by-rung degradation follow only a rung that fails to run."""
         import dataclasses
 
         from repro.circuits import ControlInvert, apply_fault, control_wires
@@ -351,18 +359,40 @@ class TestIntegration:
         out, report = sup.sort_verbose(row)
         assert np.array_equal(out, np.sort(row))
         assert report.fell_back
-        names = {r["name"] for r in obs.ring_events()}
-        assert "supervisor.sort" in names
-        assert "supervisor.alarm" in names
-        assert "supervisor.retry" in names
-        assert "supervisor.degrade" in names
-        assert "supervisor.accept" in names
+        decisions = _supervisor_decisions()
+        assert [r["name"] for r in decisions] == [
+            "supervisor.alarm", "supervisor.degrade", "supervisor.accept"]
+        assert decisions[1]["attrs"]["to_tier"] == "behavioral"
+        assert decisions[2]["attrs"]["tier"] == "behavioral"
         sort_span = [r for r in obs.ring_events()
                      if r["name"] == "supervisor.sort"][-1]
         assert sort_span["attrs"]["fell_back"]
         snap = obs.registry().snapshot()
         assert any(k.startswith("repro_supervisor_fallbacks_total")
                    for k in snap)
+
+    def test_supervisor_events_on_rung_error(self, monkeypatch):
+        """A rung that raises is retried, then degraded past rung by
+        rung."""
+        from repro.errors import SimulationError
+        from repro.runtime import RecoveryPolicy, Supervisor
+
+        def jit_down(*_args, **_kwargs):
+            raise SimulationError("jit down")
+
+        monkeypatch.setattr("repro.runtime.supervisor.simulate_jit", jit_down)
+        obs.enable()
+        sup = Supervisor(
+            "prefix", policy=RecoveryPolicy(max_retries=1, backoff_s=0))
+        row = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        out, report = sup.sort_verbose(row)
+        assert np.array_equal(out, np.sort(row))
+        assert report.tier == "engine" and report.retries == 1
+        decisions = _supervisor_decisions()
+        assert [r["name"] for r in decisions] == [
+            "supervisor.error", "supervisor.retry", "supervisor.error",
+            "supervisor.degrade", "supervisor.accept"]
+        assert decisions[3]["attrs"]["to_tier"] == "engine"
 
     def test_interpreter_span(self):
         from repro.circuits.simulate import simulate_interpreted

@@ -9,6 +9,7 @@ every injected steering fault.
 """
 
 import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -230,8 +231,12 @@ class TestSupervisedRecovery:
         out, report = sup.sort_verbose(bits)
         assert out.tolist() == sorted(bits.tolist())
         assert report.fell_back
-        # each failing tier is attempted 1 + max_retries times
-        assert report.attempts > report.retries >= 1
+        # the jit rung ran and rejected the row: no retry, no slower
+        # hardware rung, one behavioral attempt
+        assert report.attempts == 2
+        assert report.retries == 0
+        assert report.tier == "behavioral"
+        assert report.detections
 
     def test_fish_supervised_recovery(self, rng):
         """Fish hardware override: (sorter, boundary checker) pair."""
@@ -252,6 +257,34 @@ class TestSupervisedRecovery:
         for _ in range(4):
             bits = rng.integers(0, 2, 8).astype(np.uint8)
             assert sup.sort(bits).tolist() == sorted(bits.tolist())
+
+    def test_fish_rejection_is_final(self):
+        """A rejected fish call is answered behaviorally at once: one
+        engine attempt, no retry, then behavioral."""
+        from repro.circuits.checkers import build_output_checker
+        from repro.core.fish_sorter import FishSorter
+
+        fs = FishSorter(8)
+        target = fs.group_sorter
+        swappable = [i for i, e in enumerate(target.elements) if len(e.outs) >= 2]
+        broken = fs.clone_with_group_sorter(
+            apply_fault(target, OutputSwap(swappable[0])))
+        sup = Supervisor(
+            "fish",
+            policy=RecoveryPolicy(max_retries=1, backoff_s=0),
+            hardware=lambda _n: (broken, build_output_checker(8)),
+        )
+        reports = []
+        for bits in itertools.product((0, 1), repeat=8):
+            row = np.array(bits, dtype=np.uint8)
+            out, report = sup.sort_verbose(row)
+            assert out.tolist() == sorted(row.tolist())
+            reports.append(report)
+        rejected = [r for r in reports if r.detections]
+        assert rejected  # the fault really bites
+        for report in rejected:
+            assert report.attempts == 2 and report.retries == 0
+            assert report.tier == "behavioral" and report.fell_back
 
 
 class TestDeadline:
