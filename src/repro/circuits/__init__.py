@@ -85,7 +85,7 @@ from .lowering import gate_count, gate_depth, lower_to_gates
 from .opt import prune_dead
 from .paths import critical_path, level_histogram, path_kind_summary
 from .serialize import from_json, load, save, to_json
-from .netlist import CircuitStats, Netlist
+from .netlist import Block, CircuitStats, Netlist
 from .sequential import (
     LevelizedNetlist,
     PipelinedNetlist,
@@ -108,6 +108,7 @@ from .simulate import (
 
 __all__ = [
     "BitProgram",
+    "Block",
     "CheckedNetlist",
     "CircuitBuilder",
     "CircuitStats",

@@ -17,6 +17,17 @@ Example
 >>> net = b.build(outputs=[s, c])
 >>> simulate(net, [[1, 1]]).tolist()
 [[0, 1]]
+
+Recursive constructions wrap each sub-network instance in
+:meth:`CircuitBuilder.block`, which records it on the netlist as a
+:class:`~repro.circuits.netlist.Block`:
+
+>>> b = CircuitBuilder("sort2")
+>>> x, y = b.add_inputs(2)
+>>> with b.block("sorter", [x, y]) as blk:
+...     blk.outputs = b.comparator(x, y)
+>>> b.build(outputs=blk.outputs).blocks[0].kind
+'sorter'
 """
 
 from __future__ import annotations
@@ -24,8 +35,35 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import elements as el
+from ..errors import BuildError
 from .elements import Element
-from .netlist import Netlist
+from .netlist import Block, Netlist
+
+
+class OpenBlock:
+    """A block being built (see :meth:`CircuitBuilder.block`): the body
+    of its ``with`` sets ``outputs``."""
+
+    __slots__ = ("builder", "kind", "inputs", "outputs", "start", "children")
+
+    def __init__(self, builder: "CircuitBuilder", kind: str,
+                 inputs: Tuple[int, ...]) -> None:
+        self.builder = builder
+        self.kind = kind
+        self.inputs = inputs
+        self.outputs: Optional[Sequence[int]] = None
+        self.start = 0
+        self.children: List[Block] = []
+
+    def __enter__(self) -> "OpenBlock":
+        self.start = len(self.builder._elements)
+        self.builder._open.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.builder._open.pop()
+        if exc_type is None:
+            self.builder._close(self)
 
 
 class CircuitBuilder:
@@ -49,6 +87,8 @@ class CircuitBuilder:
         self._constants: Dict[int, int] = {}
         self._const_cache: Dict[int, int] = {}
         self._control_wires: set = set()
+        self._blocks: List[Block] = []
+        self._open: List[OpenBlock] = []
 
     # -- wires ---------------------------------------------------------------
 
@@ -221,6 +261,63 @@ class CircuitBuilder:
             ws = nxt
         return ws
 
+    # -- sub-network records -------------------------------------------------
+
+    def block(self, kind: str, inputs: Sequence[int]) -> OpenBlock:
+        """Record the elements emitted inside a ``with`` of the returned
+        :class:`OpenBlock` as one sub-network instance reading
+        ``inputs``.
+
+        The body must set ``blk.outputs``.  On exit the block is checked
+        for closure: its elements (nested blocks included) read only
+        ``inputs``, constants and wires they drive, and they drive every
+        output.  A violation raises :class:`~repro.errors.BuildError`.
+        """
+        return OpenBlock(self, kind, tuple(inputs))
+
+    def _close(self, blk: OpenBlock) -> None:
+        """Check closure of ``blk`` and append its record.
+
+        Nested blocks were checked when they closed, so only this
+        block's own elements and its children's ports are walked: the
+        check stays linear in the netlist however deep the nesting.
+        """
+        where = f"block {blk.kind}/{len(blk.inputs)}"
+        if blk.outputs is None:
+            raise BuildError(f"{where} never set its outputs")
+        consts = self._constants
+        inputs = set(blk.inputs)
+        driven: set = set()
+
+        def need(wires: Sequence[int], what: str) -> None:
+            for w in wires:
+                if w not in driven and w not in inputs and w not in consts:
+                    raise BuildError(
+                        f"{where}: {what} reads wire {w}, which is neither "
+                        "a block input nor driven inside")
+
+        pos = blk.start
+        for child in [*blk.children, None]:
+            end = child.start if child else len(self._elements)
+            for i in range(pos, end):
+                e = self._elements[i]
+                need(e.ins, f"element #{i} ({e.kind})")
+                driven.update(e.outs)
+            if child:
+                need(child.inputs, f"nested {child.kind}/{child.size}")
+                driven.update(child.outputs)
+                pos = child.stop
+        outputs = tuple(blk.outputs)
+        for w in outputs:
+            if w not in driven:
+                raise BuildError(f"{where}: output wire {w} is not driven "
+                                 "inside the block")
+        rec = Block(blk.kind, len(blk.inputs), blk.inputs, outputs,
+                    blk.start, len(self._elements))
+        self._blocks.append(rec)
+        if self._open:
+            self._open[-1].children.append(rec)
+
     # -- finalization -------------------------------------------------------------
 
     def build(self, outputs: Sequence[int], precompile: bool = False) -> Netlist:
@@ -240,6 +337,7 @@ class CircuitBuilder:
             constants=self._constants,
             name=self.name,
             control_wires=self._control_wires,
+            blocks=self._blocks,
         )
         if precompile:
             from .engine import get_plan

@@ -201,12 +201,15 @@ def control_checker_overhead(netlist: Netlist) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _extend_builder(netlist: Netlist, name: str) -> CircuitBuilder:
+def _extend_builder(
+    netlist: Netlist, name: str, blocks: bool = True
+) -> CircuitBuilder:
     """A :class:`CircuitBuilder` whose state continues ``netlist``.
 
     The original wires, elements, inputs, and constants are carried over
     verbatim (same ids, same order), so everything appended lands after
     the existing topological order and the source netlist is untouched.
+    Its block records carry over too unless ``blocks`` is false.
     """
     b = CircuitBuilder(name)
     b._n_wires = netlist.n_wires
@@ -218,6 +221,8 @@ def _extend_builder(netlist: Netlist, name: str) -> CircuitBuilder:
     for w, v in netlist.constants.items():
         b._const_cache.setdefault(v, w)
     b._control_wires = set(netlist.control_wires)
+    if blocks:
+        b._blocks = list(netlist.blocks)
     return b
 
 
@@ -347,10 +352,16 @@ def with_checkers(
     binary sorting (see module docstring); ``control`` additionally
     duplicates the steering cone so steering faults are caught even when
     their corruption is masked downstream.
+
+    The checked netlist keeps ``netlist``'s block records (element
+    indices do not change) unless ``control`` is set: the duplicated
+    steering cone reads wires inside the blocks, and the JIT shares that
+    cone with the original by hash-consing, which calls would prevent.
     """
     if not (sortedness or count or control):
         raise BuildError("with_checkers: enable at least one checker")
-    b = _extend_builder(netlist, f"{netlist.name}+checkers")
+    b = _extend_builder(netlist, f"{netlist.name}+checkers",
+                        blocks=not control)
     alarms: List[int] = []
     names: List[str] = []
     if sortedness:

@@ -5,17 +5,18 @@ The compiled engine (:mod:`repro.circuits.engine`) interprets a fused
 still pays a NumPy gather (``V[in_idx]``), a kernel dispatch, and a
 scatter back into the value matrix.  This module goes one level down —
 the direction of ROADMAP item 1 — by *code-generating* each netlist into
-one flat Python function of pure bitwise operations over arbitrary-
-precision integers, where every batch lane is one bit of the word
-(64 lanes per machine word inside CPython's bignum loops):
+straight-line Python functions of pure bitwise operations over
+arbitrary-precision integers, where every batch lane is one bit of the
+word (64 lanes per machine word inside CPython's bignum loops):
 
-* per-level dispatch disappears — the whole netlist is straight-line
+* per-level dispatch disappears — the netlist becomes straight-line
   code compiled once via ``compile()``/``exec`` (the generated source is
   retained on the plan for inspection);
 * gather/scatter copies disappear — wire values live in local
   variables, and single-use intermediates are fused *across execution
   levels* into their consumer's expression (the codegen analog of
-  cross-level step fusion);
+  cross-level step fusion); stored values share a small pool of
+  locals, each released after its last read;
 * the word width adapts to the batch for free: a ``B``-row batch packs
   into ``B``-bit integers, so one generated kernel serves every batch
   size.
@@ -37,9 +38,28 @@ primary output (the bit-level analog of
 is the direct, unoptimized translation the optimized kernels are
 differentially tested against.
 
+**Block shapes.**  The paper's sorters are recursive compositions, so an
+n=1024 mux-merger sorter holds 16 identical 64-input sorters, 8
+identical 128-input sorters, and so on.  The builder records each
+instance as a :class:`~repro.circuits.netlist.Block`.  Each candidate
+instance (at least :data:`JIT_MIN_ELEMENTS` elements) gets a Merkle-style
+structural digest: its own elements with wires renumbered from its
+inputs, plus each nested candidate's digest and port map.  A digest that
+occurs at least twice becomes one function, compiled once and called
+from every instance; everything else is inlined into the enclosing
+function, where the fold, share and dead-code passes run as before.
+Shape functions are cached in memory by digest, so n=256 reuses the
+sorter functions an n=1024 compile made.  At n=1024 the 137,202 executed
+operations come from 27,008 compiled ones in six functions.  The digest,
+not the block's ``kind`` label, decides sharing: an instance edited in
+place gets its own digest and never reuses a healthy function.
+Netlists without records (fault mutants, checked netlists with the
+control duplicate, hand-built circuits) compile to one function.
+
 Compiled plans are cached three deep: a weak-keyed in-memory cache
 (:func:`get_jit_plan`, mirroring the engine's plan cache), and a
-**persistent on-disk cache** keyed by netlist content hash — shared
+**persistent on-disk cache** (one entry per netlist, holding all of its
+functions) keyed by netlist content hash — shared
 with :func:`repro.circuits.serialize.load`'s staleness logic via
 :func:`~repro.circuits.serialize.netlist_key` — so warm processes and
 :mod:`repro.parallel` workers skip recompilation entirely.  Disk
@@ -63,6 +83,7 @@ import os
 import threading
 import time
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,7 +93,7 @@ from . import elements as el
 from .. import obs
 from ..errors import BuildError
 from ..ioutil import atomic_write_bytes
-from .netlist import Netlist
+from .netlist import Block, Netlist
 from .serialize import netlist_key
 
 __all__ = [
@@ -118,7 +139,7 @@ JIT_WARMUP_CALLS = 3
 
 #: Bump when the IR, codegen, or cache entry layout changes; part of
 #: every disk-cache key, so stale formats miss instead of mis-loading.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 _MAGIC = b"RJIT1\n"
 #: CPython bytecode magic — marshalled code objects are only valid for
@@ -127,7 +148,8 @@ _PY_TAG = importlib.util.MAGIC_NUMBER.hex()
 
 # IR opcodes.  C0/C1 are the all-zeros / all-ones (mask) words and own
 # the fixed node ids 0 and 1; IN nodes follow at ids 2..n_inputs+1.
-_C0, _C1, _IN = "C0", "C1", "IN"
+# ``(RET, j, k)`` is output ``k`` of call ``j`` (see BitProgram.calls).
+_C0, _C1, _IN, _RET = "C0", "C1", "IN", "RET"
 _BINOPS = {"AND": "&", "OR": "|", "XOR": "^"}
 
 
@@ -136,20 +158,27 @@ class BitProgram:
     """A netlist lowered to SSA bit operations over packed words.
 
     ``nodes[i] = (op, a, b)`` with ``op`` one of ``C0``/``C1`` (constant
-    words), ``IN`` (``a`` is the primary-input position), or a binary
-    bitwise op whose operands ``a``/``b`` are earlier node ids.  The
-    list order is a topological schedule by construction.  ``outputs``
-    maps each primary output to its node id.
+    words), ``IN`` (``a`` is the primary-input position), ``RET`` (output
+    ``b`` of call ``a``), or a binary bitwise op whose operands ``a``/``b``
+    are earlier node ids.  The list order is a topological schedule by
+    construction.  ``outputs`` maps each primary output to its node id.
+
+    ``calls[j] = (callee, args, n_outputs)`` runs the generated function
+    named ``callee`` on the node ids ``args``; a call takes place where
+    its first ``RET`` node stands.  Programs lowered without block calls
+    have ``calls == ()``.
     """
 
     n_inputs: int
     nodes: Tuple[Tuple[str, int, int], ...]
     outputs: Tuple[int, ...]
     name: str = "netlist"
+    calls: Tuple[Tuple[str, Tuple[int, ...], int], ...] = ()
 
     @property
     def n_ops(self) -> int:
-        """Number of actual bit operations (excludes constants/inputs)."""
+        """Number of bit operations in this program's own code (excludes
+        constants, inputs and the operations inside called functions)."""
         return sum(1 for op, _, _ in self.nodes if op in _BINOPS)
 
 
@@ -170,9 +199,19 @@ class _Builder:
         self.memo: Optional[Dict[Tuple[str, int, int], int]] = (
             {} if optimize else None
         )
+        self.calls: List[Tuple[str, Tuple[int, ...], int]] = []
 
     def input(self, position: int) -> int:
         return 2 + position
+
+    def call(self, callee: str, args: Sequence[int], n_out: int) -> range:
+        """Emit a call of ``callee`` on ``args``; returns its RET nodes
+        (opaque values: never folded into or shared with anything)."""
+        j = len(self.calls)
+        self.calls.append((callee, tuple(args), n_out))
+        base = len(self.nodes)
+        self.nodes.extend((_RET, j, k) for k in range(n_out))
+        return range(base, base + n_out)
 
     def _is_not_of(self, node: int, operand: int) -> bool:
         """True when ``node`` computes ``NOT operand`` (= ``XOR(C1, x)``)."""
@@ -264,78 +303,110 @@ def lower(netlist: Netlist, *, optimize: bool = True) -> BitProgram:
 
     With ``optimize=False`` the translation is direct (one cluster of
     ops per element, nothing merged) — the baseline the optimized
-    programs are differentially tested against.
+    programs are differentially tested against.  The result is one flat
+    program; :func:`compile_jit` lowers block-structured netlists one
+    region at a time instead.
     """
-    b = _Builder(len(netlist.inputs), optimize)
+    return _lower_region(netlist, netlist.inputs, 0, len(netlist.elements),
+                         netlist.outputs, (), optimize)
+
+
+def _lower_region(netlist: Netlist, inputs: Sequence[int], start: int,
+                  stop: int, outputs: Sequence[int],
+                  calls: Sequence[Tuple[Block, str]],
+                  optimize: bool) -> BitProgram:
+    """Lower ``netlist.elements[start:stop]`` reading ``inputs``.
+
+    ``calls`` lists ``(block, callee name)`` in element order: each of
+    those block instances becomes one call and its elements are skipped.
+    """
+    b = _Builder(len(inputs), optimize)
     val: Dict[int, int] = {}
-    for pos, w in enumerate(netlist.inputs):
+    for pos, w in enumerate(inputs):
         val[w] = b.input(pos)
     for w, v in netlist.constants.items():
         val[w] = 1 if v else 0
 
-    for e in netlist.elements:
-        kind = e.kind
-        ins = [val[w] for w in e.ins]
-        if kind == el.COMPARATOR:
-            val[e.outs[0]] = b.emit("AND", ins[0], ins[1])
-            val[e.outs[1]] = b.emit("OR", ins[0], ins[1])
-        elif kind == el.SWITCH2:
-            # butterfly form: t = (a ^ b) & c; outs = a ^ t, b ^ t
-            t = b.emit("AND", b.emit("XOR", ins[0], ins[1]), ins[2])
-            val[e.outs[0]] = b.emit("XOR", ins[0], t)
-            val[e.outs[1]] = b.emit("XOR", ins[1], t)
-        elif kind == el.MUX2:
-            t = b.emit("AND", b.emit("XOR", ins[0], ins[1]), ins[2])
-            val[e.outs[0]] = b.emit("XOR", ins[0], t)
-        elif kind == el.DEMUX2:
-            taken = b.emit("AND", ins[0], ins[1])
-            val[e.outs[0]] = b.emit("XOR", ins[0], taken)  # a & ~s
-            val[e.outs[1]] = taken
-        elif kind == el.SWITCH4:
-            data, hi, lo = ins[:4], ins[4], ins[5]
-            nhi, nlo = b.not_(hi), b.not_(lo)
-            selmask = (
-                b.emit("AND", nhi, nlo), b.emit("AND", nhi, lo),
-                b.emit("AND", hi, nlo), b.emit("AND", hi, lo),
-            )
-            for i in range(4):
-                by_src: Dict[int, set] = {}
-                for s in range(4):
-                    by_src.setdefault(e.params[s][i], set()).add(s)
-                terms = []
-                for src, sels in sorted(by_src.items()):
-                    mask = _switch4_mask(b, frozenset(sels), selmask,
-                                         hi, lo, nhi, nlo)
-                    terms.append(b.emit("AND", mask, data[src]))
-                out = terms[0]
-                for t in terms[1:]:
-                    out = b.emit("OR", out, t)
-                val[e.outs[i]] = out
-        elif kind == el.NOT:
-            val[e.outs[0]] = b.not_(ins[0])
-        elif kind == el.AND:
-            val[e.outs[0]] = b.emit("AND", ins[0], ins[1])
-        elif kind == el.OR:
-            val[e.outs[0]] = b.emit("OR", ins[0], ins[1])
-        elif kind == el.XOR:
-            val[e.outs[0]] = b.emit("XOR", ins[0], ins[1])
-        elif kind == el.NAND:
-            val[e.outs[0]] = b.not_(b.emit("AND", ins[0], ins[1]))
-        elif kind == el.NOR:
-            val[e.outs[0]] = b.not_(b.emit("OR", ins[0], ins[1]))
-        elif kind == el.XNOR:
-            val[e.outs[0]] = b.not_(b.emit("XOR", ins[0], ins[1]))
-        elif kind == el.BUF:
-            val[e.outs[0]] = ins[0]
-        else:  # pragma: no cover - guarded by Element.validate
-            raise BuildError(f"cannot lower element kind {kind!r}")
+    segments = []
+    pos = start
+    for blk, callee in calls:
+        segments.append((netlist.elements[pos:blk.start], blk, callee))
+        pos = blk.stop
+    segments.append((netlist.elements[pos:stop], None, ""))
+    for elements, blk, callee in segments:
+        for e in elements:
+            _lower_element(b, e, val)
+        if blk is not None:
+            rets = b.call(callee, [val[w] for w in blk.inputs],
+                          len(blk.outputs))
+            val.update(zip(blk.outputs, rets))
 
     return BitProgram(
-        n_inputs=len(netlist.inputs),
+        n_inputs=len(inputs),
         nodes=tuple(b.nodes),
-        outputs=tuple(val[w] for w in netlist.outputs),
+        outputs=tuple(val[w] for w in outputs),
         name=netlist.name,
+        calls=tuple(b.calls),
     )
+
+
+def _lower_element(b: _Builder, e, val: Dict[int, int]) -> None:
+    """Emit the bit operations of one element into ``b``."""
+    kind = e.kind
+    ins = [val[w] for w in e.ins]
+    if kind == el.COMPARATOR:
+        val[e.outs[0]] = b.emit("AND", ins[0], ins[1])
+        val[e.outs[1]] = b.emit("OR", ins[0], ins[1])
+    elif kind == el.SWITCH2:
+        # butterfly form: t = (a ^ b) & c; outs = a ^ t, b ^ t
+        t = b.emit("AND", b.emit("XOR", ins[0], ins[1]), ins[2])
+        val[e.outs[0]] = b.emit("XOR", ins[0], t)
+        val[e.outs[1]] = b.emit("XOR", ins[1], t)
+    elif kind == el.MUX2:
+        t = b.emit("AND", b.emit("XOR", ins[0], ins[1]), ins[2])
+        val[e.outs[0]] = b.emit("XOR", ins[0], t)
+    elif kind == el.DEMUX2:
+        taken = b.emit("AND", ins[0], ins[1])
+        val[e.outs[0]] = b.emit("XOR", ins[0], taken)  # a & ~s
+        val[e.outs[1]] = taken
+    elif kind == el.SWITCH4:
+        data, hi, lo = ins[:4], ins[4], ins[5]
+        nhi, nlo = b.not_(hi), b.not_(lo)
+        selmask = (
+            b.emit("AND", nhi, nlo), b.emit("AND", nhi, lo),
+            b.emit("AND", hi, nlo), b.emit("AND", hi, lo),
+        )
+        for k in range(4):
+            by_src: Dict[int, set] = {}
+            for s in range(4):
+                by_src.setdefault(e.params[s][k], set()).add(s)
+            terms = []
+            for src, sels in sorted(by_src.items()):
+                mask = _switch4_mask(b, frozenset(sels), selmask,
+                                     hi, lo, nhi, nlo)
+                terms.append(b.emit("AND", mask, data[src]))
+            out = terms[0]
+            for t in terms[1:]:
+                out = b.emit("OR", out, t)
+            val[e.outs[k]] = out
+    elif kind == el.NOT:
+        val[e.outs[0]] = b.not_(ins[0])
+    elif kind == el.AND:
+        val[e.outs[0]] = b.emit("AND", ins[0], ins[1])
+    elif kind == el.OR:
+        val[e.outs[0]] = b.emit("OR", ins[0], ins[1])
+    elif kind == el.XOR:
+        val[e.outs[0]] = b.emit("XOR", ins[0], ins[1])
+    elif kind == el.NAND:
+        val[e.outs[0]] = b.not_(b.emit("AND", ins[0], ins[1]))
+    elif kind == el.NOR:
+        val[e.outs[0]] = b.not_(b.emit("OR", ins[0], ins[1]))
+    elif kind == el.XNOR:
+        val[e.outs[0]] = b.not_(b.emit("XOR", ins[0], ins[1]))
+    elif kind == el.BUF:
+        val[e.outs[0]] = ins[0]
+    else:  # pragma: no cover - guarded by Element.validate
+        raise BuildError(f"cannot lower element kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +415,52 @@ def lower(netlist: Netlist, *, optimize: bool = True) -> BitProgram:
 
 def eliminate_dead(prog: BitProgram) -> BitProgram:
     """Drop every operation with no path to a primary output (the
-    bit-level analog of :func:`repro.circuits.opt.prune_dead`)."""
+    bit-level analog of :func:`repro.circuits.opt.prune_dead`).  A call
+    survives while any of its outputs is live; it then keeps all of its
+    arguments live."""
+    nodes = prog.nodes
     n_fixed = 2 + prog.n_inputs
-    live = [False] * len(prog.nodes)
+    live = [False] * len(nodes)
     for o in prog.outputs:
         live[o] = True
-    for nid in range(len(prog.nodes) - 1, n_fixed - 1, -1):
+    call_live = [False] * len(prog.calls)
+    for nid in range(len(nodes) - 1, n_fixed - 1, -1):
         if live[nid]:
-            _, a, c = prog.nodes[nid]
-            live[a] = live[c] = True
-    remap: Dict[int, int] = {}
+            op, a, c = nodes[nid]
+            if op != _RET:
+                live[a] = live[c] = True
+            elif not call_live[a]:
+                # a call's arguments all precede its RET nodes
+                call_live[a] = True
+                for x in prog.calls[a][1]:
+                    live[x] = True
+    remap = [0] * len(nodes)
     kept: List[Tuple[str, int, int]] = []
-    for nid, node in enumerate(prog.nodes):
-        if nid < n_fixed or live[nid]:
-            remap[nid] = len(kept)
-            kept.append(
-                node if nid < n_fixed
-                else (node[0], remap[node[1]], remap[node[2]])
-            )
+    calls: List[Tuple[str, Tuple[int, ...], int]] = []
+    new_call: Dict[int, int] = {}
+    for nid, node in enumerate(nodes):
+        if nid >= n_fixed:
+            if not live[nid]:
+                continue
+            op, a, c = node
+            if op == _RET:
+                j = new_call.get(a)
+                if j is None:
+                    callee, args, n_out = prog.calls[a]
+                    j = new_call[a] = len(calls)
+                    calls.append((callee, tuple(remap[x] for x in args),
+                                  n_out))
+                node = (_RET, j, c)
+            else:
+                node = (op, remap[a], remap[c])
+        remap[nid] = len(kept)
+        kept.append(node)
     return BitProgram(
         n_inputs=prog.n_inputs,
         nodes=tuple(kept),
         outputs=tuple(remap[o] for o in prog.outputs),
         name=prog.name,
+        calls=tuple(calls),
     )
 
 
@@ -391,83 +485,339 @@ def codegen(prog: BitProgram, fn_name: str = "_jit_kernel",
     expression — the cross-level fusion step: values produced at one
     execution level are consumed inside another level's expression with
     no store/load round-trip.
+
+    Stored values share a small pool of locals: each takes a free name
+    and gives it back after its last read, so a kernel holds about as
+    many locals as it has values live at once rather than one per node.
+    A call of another generated function ``g`` is one statement,
+    ``r0, r1, ... = g((a0, a1, ...), M)``.
     """
+    nodes, calls, outputs = prog.nodes, prog.calls, prog.outputs
     n_fixed = 2 + prog.n_inputs
-    uses = [0] * len(prog.nodes)
-    for op, a, c in prog.nodes:
-        if op in _BINOPS:
+    n = len(nodes)
+    end = n  # statement id of the ``return``
+    uses = [0] * n
+    call_at = [end] * len(calls)  # statement id of each call
+    rets: List[List[Tuple[int, int]]] = [[] for _ in calls]
+    for nid in range(n_fixed, n):
+        op, a, c = nodes[nid]
+        if op == _RET:
+            if not rets[a]:
+                call_at[a] = nid
+                for x in calls[a][1]:
+                    uses[x] += 1
+            rets[a].append((c, nid))
+        else:
             uses[a] += 1
             uses[c] += 1
-    for o in prog.outputs:
+    for o in outputs:
         uses[o] += 1
 
-    ref: List[str] = [""] * len(prog.nodes)
-    depth = [0] * len(prog.nodes)
+    # Which nodes get a local (stored) and which inline into their one
+    # consumer.
+    stored = [True] * n
+    depth = [0] * n
+    for nid in range(n_fixed, n):
+        op, a, c = nodes[nid]
+        if op != _RET and fuse and uses[nid] == 1:
+            d = 1 + max(depth[a], depth[c])
+            if d < _MAX_INLINE_DEPTH:
+                stored[nid] = False
+                depth[nid] = d
+
+    # Walking back from the outputs: the statement each inlined node is
+    # evaluated in (``stmt``), the last statement reading each stored
+    # value (``last``), and the values each statement reads for the last
+    # time (``release``).  A node's consumers all come after it, so both
+    # are final by the time the walk reaches the node.
+    stmt = list(range(n))
+    last = [-1] * n
+    release: Dict[int, List[int]] = {}
+    for o in outputs:
+        if stored[o]:
+            last[o] = end
+        else:
+            stmt[o] = end
+    for nid in range(n - 1, n_fixed - 1, -1):
+        op, a, c = nodes[nid]
+        if op != _RET:
+            at, operands = stmt[nid], (a, c)
+        elif call_at[a] == nid:
+            at, operands = nid, calls[a][1]
+        else:
+            operands = ()
+        for x in operands:
+            if not stored[x]:
+                stmt[x] = at
+            elif last[x] < at:
+                last[x] = at
+        if stored[nid] and nid < last[nid] < end:
+            release.setdefault(last[nid], []).append(nid)
+
+    ref: List[str] = [""] * n
     ref[0], ref[1] = "0", "M"
     for pos in range(prog.n_inputs):
         ref[2 + pos] = f"i{pos}"
-
+    free: List[str] = []  # names of locals whose value is dead
+    n_locals = 0
     lines: List[str] = []
-    for nid in range(n_fixed, len(prog.nodes)):
-        op, a, c = prog.nodes[nid]
-        expr = f"{ref[a]} {_BINOPS[op]} {ref[c]}"
-        d = 1 + max(depth[a], depth[c])
-        if fuse and uses[nid] == 1 and d < _MAX_INLINE_DEPTH:
-            ref[nid] = f"({expr})"
-            depth[nid] = d
+    for nid in range(n_fixed, n):
+        op, a, c = nodes[nid]
+        if op == _RET:
+            if call_at[a] != nid:
+                continue  # bound by its call's statement
+            callee, args, n_out = calls[a]
+            rhs = (f"{callee}(({', '.join(ref[x] for x in args)}"
+                   f"{',' if args else ''}), M)")
+            outs = [r for _, r in rets[a]]
         else:
-            lines.append(f"v{nid} = {expr}")
-            ref[nid] = f"v{nid}"
+            rhs = f"{ref[a]} {_BINOPS[op]} {ref[c]}"
+            if not stored[nid]:
+                ref[nid] = f"({rhs})"
+                continue
+            outs = [nid]
+        free.extend(ref[x] for x in release.pop(nid, ()))
+        for r in outs:
+            if free:
+                ref[r] = free.pop()
+            else:
+                ref[r] = f"v{n_locals}"
+                n_locals += 1
+        if op == _RET:
+            targets = ["_"] * n_out
+            for k, r in rets[a]:
+                targets[k] = ref[r]
+            lines.append(f"{', '.join(targets)}, = {rhs}")
+        else:
+            lines.append(f"{ref[nid]} = {rhs}")
+        # values never read (unoptimized programs) free at once
+        free.extend(ref[r] for r in outs if last[r] < 0)
 
     src = [f"def {fn_name}(I, M):"]
     if prog.n_inputs:
         unpack = ", ".join(f"i{k}" for k in range(prog.n_inputs))
         src.append(f"    ({unpack},) = I")
     src.extend("    " + ln for ln in lines)
-    rets = ", ".join(ref[o] for o in prog.outputs)
-    src.append(f"    return ({rets}{',' if len(prog.outputs) == 1 else ''})")
+    rets_src = ", ".join(ref[o] for o in outputs)
+    src.append(f"    return ({rets_src}{',' if len(outputs) == 1 else ''})")
     return "\n".join(src) + "\n"
 
 
-def run_program(prog: BitProgram, ins: Sequence[int], lanes: int) -> List[int]:
-    """Reference IR interpreter (tests use it to pin codegen semantics)."""
+def run_program(prog: BitProgram, ins: Sequence[int], lanes: int,
+                functions: Optional[Dict[str, BitProgram]] = None
+                ) -> List[int]:
+    """Reference IR interpreter (tests use it to pin codegen semantics).
+
+    ``functions`` maps callee names to their programs when ``prog``
+    makes calls."""
     mask = (1 << lanes) - 1
     vals: List[int] = [0, mask]
     vals.extend(int(x) & mask for x in ins)
+    results: Dict[int, List[int]] = {}
     for op, a, c in prog.nodes[2 + prog.n_inputs:]:
+        if op == _RET:
+            if a not in results:
+                callee, args, _ = prog.calls[a]
+                results[a] = run_program(functions[callee],
+                                         [vals[x] for x in args], lanes,
+                                         functions)
+            vals.append(results[a][c])
+            continue
         x, y = vals[a], vals[c]
         vals.append(x & y if op == "AND" else x | y if op == "OR" else x ^ y)
     return [vals[o] for o in prog.outputs]
 
 
 # ---------------------------------------------------------------------------
+# Block shapes: which sub-network instances become calls
+# ---------------------------------------------------------------------------
+
+def _region_digest(netlist: Netlist, inputs: Sequence[int], start: int,
+                   stop: int, outputs: Sequence[int], kids: Sequence[int],
+                   digests: Sequence[Optional[str]]) -> Optional[str]:
+    """Structural digest of ``elements[start:stop]`` with the nested
+    blocks ``kids`` (indices into ``netlist.blocks``, in element order)
+    folded in as their digests and port maps; ``None`` when the region
+    reads a wire that is neither one of ``inputs``, a constant, nor
+    driven inside it (a kid's internal wires count as outside).
+
+    Wires are renumbered in order of appearance from the region's
+    inputs, so every instance of one shape gets one digest, and the
+    digest of a parent covers its kids without walking them again.
+    """
+    local: Dict[int, object] = {
+        w: f"c{v}" for w, v in netlist.constants.items()}
+    local.update((w, k) for k, w in enumerate(inputs))
+    n = len(inputs)
+    items: List[object] = [n]
+    elements, blocks = netlist.elements, netlist.blocks
+    pos = start
+    try:
+        for kid in [*kids, None]:
+            blk = blocks[kid] if kid is not None else None
+            for e in elements[pos:blk.start if blk else stop]:
+                items.append((e.kind, e.params, [local[w] for w in e.ins]))
+                for w in e.outs:
+                    local[w] = n
+                    n += 1
+            if blk is not None:
+                items.append((digests[kid], [local[w] for w in blk.inputs]))
+                for w in blk.outputs:
+                    local[w] = n
+                    n += 1
+                pos = blk.stop
+        items.append([local[w] for w in outputs])
+    except KeyError:
+        return None
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+class _Layout:
+    """The call structure of one block-structured netlist.
+
+    Only blocks with at least :data:`JIT_MIN_ELEMENTS` elements are
+    candidates (smaller ones are walked as plain elements).  A candidate
+    becomes a call when its digest occurs at least twice; everything
+    else is inlined into the enclosing function.
+    """
+
+    def __init__(self, netlist: Netlist, digests: Dict[int, str],
+                 children: Dict[int, List[int]], top: List[int]) -> None:
+        seen = Counter(digests.values())
+        self.netlist = netlist
+        self.digests = digests
+        self.children = children
+        self.is_call = {i for i, d in digests.items() if seen[d] >= 2}
+        self.top = self.calls_in(top)
+
+    def calls_in(self, kids: Sequence[int]) -> List[int]:
+        """The outermost call instances among ``kids`` and, through the
+        inlined ones, their descendants (in element order)."""
+        out: List[int] = []
+        for k in kids:
+            if k in self.is_call:
+                out.append(k)
+            else:
+                out.extend(self.calls_in(self.children[k]))
+        return out
+
+
+def _layout(netlist: Netlist) -> Optional[_Layout]:
+    """Digest the candidate blocks of ``netlist`` and decide its calls;
+    ``None`` when nothing becomes a call or the records are inconsistent
+    (ranges that overlap without nesting, or a region that is not
+    closed), in which case the netlist compiles as one function."""
+    blocks = netlist.blocks
+    # Children close before parents: order by end, inner before outer.
+    order = sorted(
+        (i for i, blk in enumerate(blocks)
+         if blk.stop - blk.start >= JIT_MIN_ELEMENTS),
+        key=lambda i: (blocks[i].stop, -blocks[i].start))
+    if not order:
+        return None
+    children: Dict[int, List[int]] = {}
+    digests: Dict[int, str] = {}
+    stack: List[int] = []
+    for i in order:
+        blk = blocks[i]
+        kids = []
+        while stack and blocks[stack[-1]].start >= blk.start:
+            kids.append(stack.pop())
+        kids.reverse()
+        if stack and blocks[stack[-1]].stop > blk.start:
+            return None
+        digest = _region_digest(netlist, blk.inputs, blk.start, blk.stop,
+                                blk.outputs, kids, digests)
+        if digest is None:
+            return None
+        children[i], digests[i] = kids, digest
+        stack.append(i)
+    if _region_digest(netlist, netlist.inputs, 0, len(netlist.elements),
+                      netlist.outputs, stack, digests) is None:
+        return None
+    layout = _Layout(netlist, digests, children, stack)
+    return layout if layout.top else None
+
+
+# ---------------------------------------------------------------------------
 # Compiled plans
 # ---------------------------------------------------------------------------
 
-class JitPlan:
-    """A netlist compiled to one straight-line bit-slice kernel.
+class _Function:
+    """One generated kernel function: a netlist's top level, or a block
+    shape shared by every instance (and every netlist) with its digest.
 
-    ``source`` is the exact generated code (retained for inspection);
-    ``origin`` records where this plan came from (``"compiled"`` or
-    ``"disk-cache"``).  Like the engine's :class:`ExecutionPlan`, a
-    ``JitPlan`` holds no reference to its source netlist.
+    ``ops`` counts the function's own operations; ``executed`` and
+    ``lowered`` count the operations one call runs, callees included,
+    after and before dead-code elimination.
     """
 
-    def __init__(self, fn, source: str, name: str, n_inputs: int,
-                 n_outputs: int, n_ops: int, stats: Dict[str, int],
+    __slots__ = ("name", "digest", "source", "code", "fn", "ops",
+                 "executed", "lowered", "callees", "__weakref__")
+
+    def __init__(self, name: str, digest: Optional[str], source: str,
+                 code, callees: Sequence["_Function"], ops: int,
+                 executed: int, lowered: int) -> None:
+        ns: Dict[str, object] = {f.name: f.fn for f in callees}
+        exec(code, ns)
+        # popped so the function and its globals form no reference cycle:
+        # a dropped plan frees its code at once, not at the next gc pass
+        self.fn = ns.pop(name)
+        self.name, self.digest, self.source, self.code = (
+            name, digest, source, code)
+        self.callees = tuple(callees)
+        self.ops, self.executed, self.lowered = ops, executed, lowered
+
+
+def _closure(top: _Function) -> List[_Function]:
+    """``top`` and every function it reaches, callees before callers."""
+    out: List[_Function] = []
+    seen = set()
+    stack = [(top, False)]
+    while stack:
+        f, callees_done = stack.pop()
+        if callees_done:
+            out.append(f)
+        elif id(f) not in seen:
+            seen.add(id(f))
+            stack.append((f, True))
+            stack.extend((g, False) for g in reversed(f.callees))
+    return out
+
+
+class JitPlan:
+    """A netlist compiled to straight-line bit-slice kernel functions.
+
+    Most netlists compile to one function.  A block-structured netlist
+    compiles to a top function that calls one function per repeated
+    block shape.  ``source`` is the exact generated code of every
+    function, the top one first (retained for inspection); ``origin``
+    records where this plan came from (``"compiled"`` or
+    ``"disk-cache"``).  ``n_ops`` is the number of operations one
+    execution runs per lane; ``stats["compiled_ops"]`` and
+    ``stats["functions"]`` describe the generated code.  Like the
+    engine's :class:`ExecutionPlan`, a ``JitPlan`` holds no reference to
+    its source netlist.
+    """
+
+    def __init__(self, top: _Function, name: str, n_inputs: int,
+                 n_outputs: int, stats: Dict[str, object],
                  origin: str = "compiled") -> None:
-        self._fn = fn
-        self.source = source
+        self._top = top
+        self._fn = top.fn
+        self._functions = _closure(top)
+        self.source = "\n".join(
+            f.source for f in [top] + self._functions[:-1])
         self.name = name
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self.n_ops = n_ops
+        self.n_ops = top.executed
         self.stats = dict(stats)
         self.origin = origin
 
     def __repr__(self) -> str:  # pragma: no cover - convenience only
         return (f"JitPlan({self.name!r}, ops={self.n_ops}, "
-                f"origin={self.origin!r})")
+                f"functions={len(self._functions)}, origin={self.origin!r})")
 
     def execute_bits(self, ins: Sequence[int], lanes: int) -> Tuple[int, ...]:
         """Run the kernel on pre-packed words (one int per input wire,
@@ -503,7 +853,7 @@ class JitPlan:
             )
         mask = (1 << B) - 1
         if B == 1:
-            ins = tuple(int(x) for x in batch[0])
+            ins = tuple(batch[0].tolist())
         else:
             packed = np.packbits(np.ascontiguousarray(batch.T), axis=1,
                                  bitorder="little")
@@ -517,7 +867,9 @@ class JitPlan:
         if not outs:
             return np.zeros((B, 0), dtype=np.uint8)
         if B == 1:
-            return np.array([outs], dtype=np.uint8)
+            # one lane: every output word is 0 or 1; bytearray keeps the
+            # result writable
+            return np.frombuffer(bytearray(outs), np.uint8)[None, :]
         nbytes = (B + 7) // 8
         ob = np.frombuffer(
             b"".join(x.to_bytes(nbytes, "little") for x in outs),
@@ -527,40 +879,78 @@ class JitPlan:
         return np.ascontiguousarray(bits.T)
 
 
-def _compile_source(source: str, fn_name: str):
-    code = compile(source, f"<repro-jit:{fn_name}>", "exec")
-    return code
+def _function(prog: BitProgram, name: str, digest: Optional[str],
+              callees: Dict[str, _Function], optimize: bool) -> _Function:
+    """Optimize, generate and ``compile()`` one function."""
+    lowered = prog.n_ops + sum(callees[c].lowered for c, _, _ in prog.calls)
+    if optimize:
+        prog = eliminate_dead(prog)
+    source = codegen(prog, name, fuse=optimize)
+    code = compile(source, f"<repro-jit:{name}>", "exec")
+    used = [callees[c] for c in dict.fromkeys(c for c, _, _ in prog.calls)]
+    executed = prog.n_ops + sum(callees[c].executed for c, _, _ in prog.calls)
+    return _Function(name, digest, source, code, used, prog.n_ops,
+                     executed, lowered)
 
 
-def _fn_from_code(code):
-    ns: Dict[str, object] = {}
-    exec(code, ns)
-    for v in ns.values():
-        if callable(v):
-            return v
-    raise BuildError("jit cache entry defined no function")  # pragma: no cover
+def _shape(layout: _Layout, i: int) -> _Function:
+    """The function of block ``i``'s shape: from the shape cache, or
+    compiled from instance ``i`` (callees first).  Caller holds
+    ``_JIT_LOCK``."""
+    digest = layout.digests[i]
+    f = _SHAPES.get(digest)
+    if f is None:
+        f = _compile_region(layout, layout.netlist.blocks[i],
+                            layout.calls_in(layout.children[i]),
+                            f"_jit_{digest[:16]}", digest)
+        _SHAPES[digest] = f
+    return f
+
+
+def _compile_region(layout: _Layout, region: Block, calls: Sequence[int],
+                    name: str, digest: Optional[str]) -> _Function:
+    """Compile the elements of ``region`` as one function that calls the
+    shape functions of the block instances ``calls``."""
+    blocks = layout.netlist.blocks
+    callees = {}
+    at: List[Tuple[Block, str]] = []
+    for j in calls:
+        f = _shape(layout, j)
+        callees[f.name] = f
+        at.append((blocks[j], f.name))
+    prog = _lower_region(layout.netlist, region.inputs, region.start,
+                         region.stop, region.outputs, at, True)
+    return _function(prog, name, digest, callees, True)
 
 
 def compile_jit(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
-    """Compile ``netlist`` to a fresh :class:`JitPlan` (no caches)."""
+    """Compile ``netlist`` to a fresh :class:`JitPlan` (no plan cache).
+
+    A netlist whose :class:`~repro.circuits.netlist.Block` records show
+    a repeated sub-network compiles that shape once, as its own
+    function, and reuses any function an earlier compile in this
+    process made for the same shape.  ``optimize=False`` gives the
+    direct, unoptimized translation as one flat function.
+    """
     t0 = time.perf_counter()
-    prog = lower(netlist, optimize=optimize)
-    before = prog.n_ops
-    if optimize:
-        prog = eliminate_dead(prog)
-    stats = {"ops_before": before, "ops_after": prog.n_ops,
-             "removed": before - prog.n_ops}
-    source = codegen(prog, fuse=optimize)
-    code = _compile_source(source, "_jit_kernel")
-    dt = time.perf_counter() - t0
-    stats["codegen_s"] = round(dt, 6)
-    plan = JitPlan(
-        fn=_fn_from_code(code), source=source, name=netlist.name,
-        n_inputs=len(netlist.inputs), n_outputs=len(netlist.outputs),
-        n_ops=prog.n_ops, stats=stats,
-    )
-    plan._code = code
-    return plan
+    with _JIT_LOCK:
+        layout = _layout(netlist) if optimize else None
+        if layout is None:
+            top = _function(lower(netlist, optimize=optimize),
+                            "_jit_kernel", None, {}, optimize)
+        else:
+            whole = Block("netlist", len(netlist.inputs), netlist.inputs,
+                          netlist.outputs, 0, len(netlist.elements))
+            top = _compile_region(layout, whole, layout.top,
+                                  "_jit_kernel", None)
+    functions = _closure(top)
+    stats = {"ops_before": top.lowered, "ops_after": top.executed,
+             "removed": top.lowered - top.executed,
+             "compiled_ops": sum(f.ops for f in functions),
+             "functions": len(functions),
+             "codegen_s": round(time.perf_counter() - t0, 6)}
+    return JitPlan(top, name=netlist.name, n_inputs=len(netlist.inputs),
+                   n_outputs=len(netlist.outputs), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +961,11 @@ _JIT_CACHE: "weakref.WeakKeyDictionary[Netlist, JitPlan]" = (
     weakref.WeakKeyDictionary()
 )
 _JIT_LOCK = threading.RLock()
+#: Block-shape functions by structural digest.  Weak: a shape lives as
+#: long as some plan that calls it.
+_SHAPES: "weakref.WeakValueDictionary[str, _Function]" = (
+    weakref.WeakValueDictionary()
+)
 #: Auto-mode warm-up counters (weak so sweeps don't accumulate state).
 _CALL_COUNTS: "weakref.WeakKeyDictionary[Netlist, int]" = (
     weakref.WeakKeyDictionary()
@@ -619,9 +1014,19 @@ def _jit_key(netlist: Netlist) -> str:
 
 
 def _entry_bytes(key: str, plan: JitPlan) -> bytes:
-    source = plan.source.encode()
-    code = marshal.dumps(plan._code)
-    digest = hashlib.sha256(source + code).hexdigest()
+    """One entry holds every function of the plan, callees first."""
+    parts: List[bytes] = []
+    funcs = []
+    for f in plan._functions:
+        source, code = f.source.encode(), marshal.dumps(f.code)
+        parts += [source, code]
+        funcs.append({
+            "name": f.name, "digest": f.digest,
+            "callees": [g.name for g in f.callees],
+            "ops": f.ops, "executed": f.executed, "lowered": f.lowered,
+            "source_len": len(source), "code_len": len(code),
+        })
+    payload = b"".join(parts)
     meta = json.dumps({
         "format": CODEGEN_VERSION,
         "key": key,
@@ -629,13 +1034,11 @@ def _entry_bytes(key: str, plan: JitPlan) -> bytes:
         "name": plan.name,
         "n_inputs": plan.n_inputs,
         "n_outputs": plan.n_outputs,
-        "n_ops": plan.n_ops,
         "stats": plan.stats,
-        "source_len": len(source),
-        "code_len": len(code),
-        "sha256": digest,
+        "functions": funcs,
+        "sha256": hashlib.sha256(payload).hexdigest(),
     }).encode()
-    return _MAGIC + meta + b"\n" + source + code
+    return _MAGIC + meta + b"\n" + payload
 
 
 def _write_disk(key: str, plan: JitPlan) -> bool:
@@ -682,22 +1085,38 @@ def _load_disk_by_path(path: str, key: Optional[str] = None
                 or meta.get("python_magic") != _PY_TAG
                 or (key is not None and meta.get("key") != key)):
             raise ValueError("stale entry")
-        s_len, c_len = int(meta["source_len"]), int(meta["code_len"])
         payload = blob[nl + 1:]
-        if len(payload) != s_len + c_len:
+        funcs = meta["functions"]
+        if len(payload) != sum(int(f["source_len"]) + int(f["code_len"])
+                               for f in funcs):
             raise ValueError("truncated entry")
-        source, code_blob = payload[:s_len], payload[s_len:]
         if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
             raise ValueError("checksum mismatch")
-        code = marshal.loads(code_blob)
+        built: Dict[str, _Function] = {}
+        off = 0
+        with _JIT_LOCK:
+            for f in funcs:
+                s_len, c_len = int(f["source_len"]), int(f["code_len"])
+                source = payload[off:off + s_len].decode()
+                code_blob = payload[off + s_len:off + s_len + c_len]
+                off += s_len + c_len
+                digest = f["digest"]
+                fn = _SHAPES.get(digest) if digest else None
+                if fn is None:
+                    fn = _Function(
+                        f["name"], digest, source, marshal.loads(code_blob),
+                        [built[c] for c in f["callees"]], int(f["ops"]),
+                        int(f["executed"]), int(f["lowered"]))
+                    if digest:
+                        _SHAPES[digest] = fn
+                built[f["name"]] = fn
         plan = JitPlan(
-            fn=_fn_from_code(code), source=source.decode(),
-            name=meta["name"], n_inputs=int(meta["n_inputs"]),
-            n_outputs=int(meta["n_outputs"]), n_ops=int(meta["n_ops"]),
+            built[funcs[-1]["name"]], name=meta["name"],
+            n_inputs=int(meta["n_inputs"]),
+            n_outputs=int(meta["n_outputs"]),
             stats=meta.get("stats", {}), origin="disk-cache",
         )
-        plan._code = code
-    except (ValueError, KeyError, TypeError, EOFError):
+    except (ValueError, KeyError, TypeError, EOFError, IndexError):
         _DISK_STATS["corrupt"] += 1
         return None
     _DISK_STATS["hits"] += 1
@@ -741,6 +1160,8 @@ def get_jit_plan(netlist: Netlist) -> JitPlan:
             ) as attrs:
                 plan = compile_jit(netlist)
                 attrs.update(ops=plan.n_ops,
+                             compiled_ops=plan.stats["compiled_ops"],
+                             functions=plan.stats["functions"],
                              codegen_s=plan.stats.get("codegen_s"))
             reg = obs.OBS.registry
             reg.counter("repro_jit_compiles_total",
@@ -797,9 +1218,11 @@ def maybe_jit(netlist: Netlist, rows: int) -> Optional[JitPlan]:
 
 
 def clear_memory_cache() -> None:
-    """Drop every in-memory JIT plan and warm-up counter."""
+    """Drop every in-memory JIT plan, block-shape function and warm-up
+    counter."""
     with _JIT_LOCK:
         _JIT_CACHE.clear()
+        _SHAPES.clear()
         _CALL_COUNTS.clear()
 
 
@@ -833,9 +1256,10 @@ def cache_info() -> Dict[str, object]:
                 except OSError:
                     pass
     with _JIT_LOCK:
-        mem = len(_JIT_CACHE)
+        mem, shapes = len(_JIT_CACHE), len(_SHAPES)
     return {
         "memory": mem,
+        "shapes": shapes,
         "disk": {"dir": base, "entries": entries, "bytes": size,
                  **_DISK_STATS},
     }

@@ -12,6 +12,12 @@ paper uses throughout (Section I: "The cost of a sorting network is the
 number of constant fanin comparator switches that it contains, and its
 depth is the maximum number of such switches on a path from an input to
 an output").
+
+A netlist may also carry :class:`Block` records naming its recursive
+sub-network instances (a half-size sorter, a merger).  They are pure
+annotation: nothing in the accounting, the simulators or the content
+key reads them.  :mod:`repro.circuits.jit` uses them to compile each
+repeated sub-network shape once.
 """
 
 from __future__ import annotations
@@ -20,6 +26,26 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .elements import Element, ELEMENT_META
+
+
+@dataclass(frozen=True)
+class Block:
+    """One recursive sub-network instance recorded by the builder.
+
+    ``elements[start:stop]`` are the instance's elements, nested blocks
+    included.  They read only ``inputs``, constants and wires they drive
+    themselves, and they drive every wire in ``outputs`` (the builder's
+    :meth:`~repro.circuits.builder.CircuitBuilder.block` checks both).
+    ``kind`` and ``size`` (the input count) are labels for people and
+    tools; the JIT decides sharing from structure alone.
+    """
+
+    kind: str
+    size: int
+    inputs: Tuple[int, ...]
+    outputs: Tuple[int, ...]
+    start: int
+    stop: int
 
 
 @dataclass(frozen=True)
@@ -59,6 +85,7 @@ class Netlist:
         constants: Optional[Dict[int, int]] = None,
         name: str = "netlist",
         control_wires: Iterable[int] = (),
+        blocks: Sequence[Block] = (),
     ) -> None:
         self.n_wires = n_wires
         self.elements: List[Element] = list(elements)
@@ -73,6 +100,10 @@ class Netlist:
         #: :func:`repro.circuits.faults.control_wires` for the union with
         #: the control ports derived from the element list.
         self.control_wires: FrozenSet[int] = frozenset(control_wires)
+        #: Recursive sub-network instances, children before parents (the
+        #: order the builder closes them).  Annotation only, like
+        #: ``control_wires``; rewrites that move elements drop them.
+        self.blocks: Tuple[Block, ...] = tuple(blocks)
         self._depths: Optional[List[int]] = None
         self._cost: Optional[int] = None
         self._stats: Optional[CircuitStats] = None
@@ -168,6 +199,14 @@ class Netlist:
         for w in self.control_wires:
             if not (0 <= w < self.n_wires):
                 fail(f"control wire {w} out of range [0, {self.n_wires})")
+        for blk in self.blocks:
+            if not 0 <= blk.start < blk.stop <= len(self.elements):
+                fail(f"block {blk.kind}/{blk.size} has element range "
+                     f"[{blk.start}, {blk.stop}) outside the netlist")
+            for w in blk.inputs + blk.outputs:
+                if not (0 <= w < self.n_wires):
+                    fail(f"block {blk.kind}/{blk.size} port wire {w} out "
+                         f"of range [0, {self.n_wires})")
         if problems:
             raise ValueError(
                 f"netlist {self.name!r}: {len(problems)} validation "

@@ -28,7 +28,7 @@ import weakref
 from typing import Dict, Tuple, Union
 
 from .elements import Element
-from .netlist import Netlist
+from .netlist import Block, Netlist
 
 FORMAT_VERSION = 1
 
@@ -52,8 +52,10 @@ def netlist_key(netlist: Netlist) -> str:
     Structure-only: two :class:`Netlist` objects that serialize
     identically share a key, which is exactly what lets JIT-compiled
     kernels persist across processes and :mod:`repro.parallel` workers.
+    Block records are left out: they do not change what a netlist
+    computes.
     """
-    return content_hash(to_json(netlist))
+    return content_hash(to_json(netlist, blocks=False))
 
 #: (realpath, mtime_ns, size) -> (weakref to the loaded netlist, inode,
 #: sha256 of the file bytes).  Weak so the cache never extends a
@@ -64,8 +66,9 @@ _LOAD_CACHE: Dict[
 ] = {}
 
 
-def to_json(netlist: Netlist) -> str:
-    """Serialize a netlist to a JSON string."""
+def to_json(netlist: Netlist, blocks: bool = True) -> str:
+    """Serialize a netlist to a JSON string (without its block records
+    when ``blocks`` is false)."""
     payload = {
         "format": FORMAT_VERSION,
         "name": netlist.name,
@@ -88,6 +91,16 @@ def to_json(netlist: Netlist) -> str:
             }
             for e in netlist.elements
         ],
+        # omitted when empty, like control_wires
+        **(
+            {"blocks": [
+                [b.kind, b.size, list(b.inputs), list(b.outputs),
+                 b.start, b.stop]
+                for b in netlist.blocks
+            ]}
+            if blocks and netlist.blocks
+            else {}
+        ),
     }
     return json.dumps(payload)
 
@@ -116,6 +129,10 @@ def from_json(text: Union[str, bytes]) -> Netlist:
         constants={int(w): v for w, v in payload["constants"].items()},
         name=payload.get("name", "netlist"),
         control_wires=payload.get("control_wires", ()),
+        blocks=[
+            Block(kind, size, tuple(ins), tuple(outs), start, stop)
+            for kind, size, ins, outs, start, stop in payload.get("blocks", ())
+        ],
     )
 
 

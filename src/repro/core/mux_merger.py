@@ -80,41 +80,52 @@ def mux_merger(
 
     ``in_perms``/``out_perms`` default to the derived Table I settings;
     they are parameters so tests can check that every assignment
-    satisfying the case analysis is equivalent.
+    satisfying the case analysis is equivalent.  Every recursive
+    instance with two or more inputs is recorded as a ``"mux_merger"``
+    block.
     """
     n = len(wires)
     if n == 1:
         return list(wires)
-    if n == 2:
-        lo, hi = b.comparator(wires[0], wires[1])
-        return [lo, hi]
-    if n % 4:
+    if n > 2 and n % 4:
         raise ValueError(f"mux-merger needs n divisible by 4, got {n}")
-    sel_hi = wires[n // 4]
-    sel_lo = wires[3 * n // 4]
-    # The middle bits double as data and steering; tag them explicitly
-    # (the four-way swappers also auto-tag them via their select ports).
-    b.tag_control(sel_hi, sel_lo)
-    staged = four_way_swapper(b, wires, sel_hi, sel_lo, in_perms)
-    merged = mux_merger(b, staged[n // 2 :], in_perms, out_perms)
-    return four_way_swapper(
-        b, list(staged[: n // 2]) + merged, sel_hi, sel_lo, out_perms
-    )
+    with b.block("mux_merger", wires) as blk:
+        if n == 2:
+            blk.outputs = list(b.comparator(wires[0], wires[1]))
+        else:
+            sel_hi = wires[n // 4]
+            sel_lo = wires[3 * n // 4]
+            # The middle bits double as data and steering; tag them
+            # explicitly (the four-way swappers also auto-tag them via
+            # their select ports).
+            b.tag_control(sel_hi, sel_lo)
+            staged = four_way_swapper(b, wires, sel_hi, sel_lo, in_perms)
+            merged = mux_merger(b, staged[n // 2 :], in_perms, out_perms)
+            blk.outputs = four_way_swapper(
+                b, list(staged[: n // 2]) + merged, sel_hi, sel_lo, out_perms
+            )
+    return blk.outputs
 
 
 def mux_merger_sorter(b: CircuitBuilder, wires: Sequence[int]) -> List[int]:
-    """Build Network 2: recursively bisort, then mux-merge."""
+    """Build Network 2: recursively bisort, then mux-merge.
+
+    Every recursive instance with two or more inputs is recorded as a
+    ``"mux_merger_sorter"`` block.
+    """
     n = len(wires)
     if n == 1:
         return list(wires)
     if n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
-    if n == 2:
-        lo, hi = b.comparator(wires[0], wires[1])
-        return [lo, hi]
-    upper = mux_merger_sorter(b, wires[: n // 2])
-    lower = mux_merger_sorter(b, wires[n // 2 :])
-    return mux_merger(b, upper + lower)
+    with b.block("mux_merger_sorter", wires) as blk:
+        if n == 2:
+            blk.outputs = list(b.comparator(wires[0], wires[1]))
+        else:
+            upper = mux_merger_sorter(b, wires[: n // 2])
+            lower = mux_merger_sorter(b, wires[n // 2 :])
+            blk.outputs = mux_merger(b, upper + lower)
+    return blk.outputs
 
 
 def build_mux_merger(

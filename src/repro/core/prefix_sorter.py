@@ -40,7 +40,10 @@ def prefix_sorter(
     """Build Network 1 over ``wires``.
 
     Returns ``(sorted_wires, count_bits)`` where ``count_bits`` is the
-    ones-count of the inputs, LSB first, ``lg n + 1`` bits wide.
+    ones-count of the inputs, LSB first, ``lg n + 1`` bits wide.  Every
+    recursive instance with two or more inputs is recorded as a
+    ``"prefix_sorter"`` block whose outputs are the sorted wires
+    followed by the count bits.
     """
     n = len(wires)
     if n == 1:
@@ -48,15 +51,18 @@ def prefix_sorter(
         return list(wires), [wires[0]]
     if n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
-    if n == 2:
-        lo, hi = b.comparator(wires[0], wires[1])
-        return [lo, hi], half_adder_count(b, wires[0], wires[1])
-    half = n // 2
-    upper, cu = prefix_sorter(b, wires[:half], adder=adder)
-    lower, cl = prefix_sorter(b, wires[half:], adder=adder)
-    count = add_counts(b, cu, cl, adder=adder)
-    shuffled = two_way_shuffle(upper + lower)
-    out = patchup_network(b, shuffled, count)
+    with b.block("prefix_sorter", wires) as blk:
+        if n == 2:
+            lo, hi = b.comparator(wires[0], wires[1])
+            out, count = [lo, hi], half_adder_count(b, wires[0], wires[1])
+        else:
+            half = n // 2
+            upper, cu = prefix_sorter(b, wires[:half], adder=adder)
+            lower, cl = prefix_sorter(b, wires[half:], adder=adder)
+            count = add_counts(b, cu, cl, adder=adder)
+            shuffled = two_way_shuffle(upper + lower)
+            out = patchup_network(b, shuffled, count)
+        blk.outputs = out + count
     return out, count
 
 
