@@ -8,24 +8,12 @@ written to ``benchmarks/results/<bench>.txt`` so the artifacts survive
 the run.
 """
 
-import os
 import pathlib
 
 import numpy as np
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_jit_cache(tmp_path_factory):
-    """Keep bench runs out of the user's persistent JIT plan cache
-    (an explicit REPRO_JIT_CACHE is respected)."""
-    if "REPRO_JIT_CACHE" not in os.environ:
-        os.environ["REPRO_JIT_CACHE"] = str(
-            tmp_path_factory.mktemp("jit-cache")
-        )
-    yield
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,6 @@ repo's real failure surfaces:
   the live :mod:`repro.parallel` worker pool;
 * **deadline storms** (:class:`DeadlineStorm`) — tiny per-attempt
   ``time_limit`` budgets that make every tier miss its deadline;
-* **plan-cache corruption** (:class:`JitCacheCorruptor`) — byte flips in
-  warm ``*.rjit`` entries of the :mod:`repro.circuits.jit` disk cache;
 * **observability truncation** (:class:`TraceTruncator`) — the obs
   file sink's tail chopped off mid-run, the crash-damage mode
   :func:`repro.obs.read_trace` is specified to survive.
@@ -20,7 +18,7 @@ repo's real failure surfaces:
 Every injector carries a :class:`Schedule` — a deterministic on/off
 window function over chunk/round indices — and derives all randomness
 from the soak seed, so *which* windows are chaotic, *which* fault is
-injected, and *which* bytes are flipped are identical run to run.  (The
+injected, and *how many* trace bytes are cut are identical run to run.  (The
 one honest exception: which in-flight item a SIGKILL lands on is a race
 by nature; the storm's schedule and kill count are still seeded.)
 
@@ -32,7 +30,6 @@ from .injectors import (
     CHAOS_INJECTORS,
     DeadlineStorm,
     FaultStorm,
-    JitCacheCorruptor,
     Schedule,
     TraceTruncator,
     WorkerKillStorm,
@@ -44,7 +41,6 @@ __all__ = [
     "CHAOS_INJECTORS",
     "DeadlineStorm",
     "FaultStorm",
-    "JitCacheCorruptor",
     "Schedule",
     "TraceTruncator",
     "WorkerKillStorm",

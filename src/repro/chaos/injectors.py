@@ -7,11 +7,10 @@ Two shapes of injector:
   deadline budget — that travel inside the work-item payload and are
   applied by whichever worker process executes the chunk.  This keeps
   them fully deterministic even under a crash-isolated process pool.
-* **environment injectors** (:class:`JitCacheCorruptor`,
-  :class:`TraceTruncator`, :class:`WorkerKillStorm`) perturb shared
-  state the workers depend on — the JIT disk cache, the obs trace file,
-  the worker processes themselves — from the parent, between or during
-  rounds.
+* **environment injectors** (:class:`TraceTruncator`,
+  :class:`WorkerKillStorm`) perturb shared state the workers depend on
+  — the obs trace file, the worker processes themselves — from the
+  parent, between or during rounds.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "CHAOS_INJECTORS",
     "DeadlineStorm",
     "FaultStorm",
-    "JitCacheCorruptor",
     "Schedule",
     "TraceTruncator",
     "WorkerKillStorm",
@@ -39,7 +37,7 @@ __all__ = [
 ]
 
 #: Injector names understood by ``tools/soak.py --chaos``.
-CHAOS_INJECTORS = ("faults", "kills", "deadlines", "jitcache", "obstrunc")
+CHAOS_INJECTORS = ("faults", "kills", "deadlines", "obstrunc")
 
 
 def _stable_hash(*parts) -> int:
@@ -161,62 +159,6 @@ class DeadlineStorm:
 # ---------------------------------------------------------------------------
 # Environment injectors
 # ---------------------------------------------------------------------------
-
-
-class JitCacheCorruptor:
-    """Flips seeded bytes inside warm ``*.rjit`` disk-cache entries.
-
-    The JIT's loads are specified corruption-tolerant (bad entries
-    recompile); this injector proves it *while plans are hot*.  Returns
-    a summary dict per perturbation for the chaos log.
-    """
-
-    name = "jitcache"
-
-    def __init__(self, schedule: Schedule, cache_dir, seed: int,
-                 max_files: int = 2, max_flips: int = 8) -> None:
-        self.schedule = schedule
-        self.cache_dir = os.fspath(cache_dir)
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), _stable_hash("jitcache")])
-        )
-        self.max_files = int(max_files)
-        self.max_flips = int(max_flips)
-
-    def perturb(self, round_index: int) -> Optional[Dict[str, object]]:
-        if not self.schedule.active(round_index):
-            return None
-        try:
-            entries = sorted(
-                name for name in os.listdir(self.cache_dir)
-                if name.endswith(".rjit")
-            )
-        except OSError:
-            entries = []
-        if not entries:
-            return {"injector": self.name, "files": [], "note": "cache empty"}
-        count = min(len(entries), 1 + int(self.rng.integers(self.max_files)))
-        picks = self.rng.choice(len(entries), size=count, replace=False)
-        corrupted: List[str] = []
-        for idx in sorted(int(i) for i in picks):
-            path = os.path.join(self.cache_dir, entries[idx])
-            try:
-                with open(path, "r+b") as fh:
-                    fh.seek(0, os.SEEK_END)
-                    size = fh.tell()
-                    if size == 0:
-                        continue
-                    flips = 1 + int(self.rng.integers(self.max_flips))
-                    for _ in range(flips):
-                        pos = int(self.rng.integers(size))
-                        fh.seek(pos)
-                        byte = fh.read(1)
-                        fh.seek(pos)
-                        fh.write(bytes([(byte[0] if byte else 0) ^ 0xFF]))
-                corrupted.append(entries[idx])
-            except OSError:
-                continue
-        return {"injector": self.name, "files": corrupted}
 
 
 class TraceTruncator:

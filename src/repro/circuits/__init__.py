@@ -16,8 +16,7 @@ as executable circuits with the exact cost/depth accounting of Section II:
 * :mod:`~repro.circuits.jit` — one level further down: code-generated
   straight-line bit-slice kernels, optimized in one pass (constant
   folding and CSE while lowering, then dead-code elimination, then
-  cross-level fusion in codegen) and kept in a persistent
-  content-hash-keyed disk cache.
+  cross-level fusion in codegen) and cached in memory per netlist.
 * :mod:`~repro.circuits.sequential` — Model B: timelines, pipeline
   levelization, and a cycle-accurate pipelined executor.
 * :mod:`~repro.circuits.faults` — declarative fault models (stuck-at,
@@ -52,7 +51,6 @@ from .engine import (
     FusedStep,
     PACKED_MIN_BATCH,
     cache_info,
-    clear_disk_cache,
     clear_plan_cache,
     compile_plan,
     fuse_elements,
@@ -135,7 +133,6 @@ __all__ = [
     "build_output_checker",
     "build_time_multiplexed_stage",
     "cache_info",
-    "clear_disk_cache",
     "clear_plan_cache",
     "compile_jit",
     "compile_plan",

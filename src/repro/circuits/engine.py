@@ -479,21 +479,11 @@ def get_plan(netlist: Netlist) -> ExecutionPlan:
 
 def clear_plan_cache() -> None:
     """Drop every cached plan — both the engine's fused-step plans and
-    the JIT's in-memory kernels (mainly for tests and memory profiling).
-    The persistent JIT disk cache is *kept*; see
-    :func:`clear_disk_cache`."""
+    the JIT's kernels (mainly for tests and memory profiling)."""
     _PLAN_CACHE.clear()
     from . import jit
 
     jit.clear_memory_cache()
-
-
-def clear_disk_cache() -> int:
-    """Delete every entry of the JIT's persistent compiled-plan cache
-    (:mod:`repro.circuits.jit`); returns the number removed."""
-    from . import jit
-
-    return jit.clear_disk_cache()
 
 
 def plan_cache_size() -> int:
@@ -505,9 +495,8 @@ def cache_info() -> dict:
     """Combined snapshot of every compiled-plan cache.
 
     ``plans`` counts the engine's weak-keyed fused-step plans; ``jit``
-    nests the JIT's in-memory kernel count and persistent disk-cache
-    statistics (directory, entries, bytes, hit/miss/corruption
-    counters).
+    nests :func:`repro.circuits.jit.cache_info` (plan and block-shape
+    counts).
     """
     from . import jit
 

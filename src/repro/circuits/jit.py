@@ -56,29 +56,20 @@ place gets its own digest and never reuses a healthy function.
 Netlists without records (fault mutants, checked netlists with the
 control duplicate, hand-built circuits) compile to one function.
 
-Compiled plans are cached three deep: a weak-keyed in-memory cache
-(:func:`get_jit_plan`, mirroring the engine's plan cache), and a
-**persistent on-disk cache** (one entry per netlist, holding all of its
-functions) keyed by netlist content hash — shared
-with :func:`repro.circuits.serialize.load`'s staleness logic via
-:func:`~repro.circuits.serialize.netlist_key` — so warm processes and
-:mod:`repro.parallel` workers skip recompilation entirely.  Disk
-entries are written atomically (:mod:`repro.ioutil`) and carry an
-internal checksum; a torn, truncated, or bit-flipped entry is silently
-ignored and recompiled, never loaded.
+Compiled plans live in one weak-keyed in-memory cache
+(:func:`get_jit_plan`, mirroring the engine's plan cache) next to the
+block-shape function cache.  Nothing is written to disk, so each
+process compiles a netlist once.
 
 Faulted netlists (:mod:`repro.circuits.faults` rewrites) flow through
 this compiler unchanged — a mutant is just another netlist with its own
-content hash — which is what keeps the fault campaigns' differential
+plan — which is what keeps the fault campaigns' differential
 guarantees intact on the JIT path.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import json
 import hashlib
-import marshal
 import os
 import threading
 import time
@@ -92,9 +83,7 @@ import numpy as np
 from . import elements as el
 from .. import obs
 from ..errors import BuildError
-from ..ioutil import atomic_write_bytes
 from .netlist import Block, Netlist
-from .serialize import netlist_key
 
 __all__ = [
     "BitProgram",
@@ -103,11 +92,9 @@ __all__ = [
     "JIT_MAX_ELEMENTS",
     "JIT_WARMUP_CALLS",
     "cache_info",
-    "clear_disk_cache",
     "clear_memory_cache",
     "codegen",
     "compile_jit",
-    "disk_cache_dir",
     "eliminate_dead",
     "get_jit_plan",
     "jit_mode",
@@ -120,9 +107,6 @@ __all__ = [
 #: ``"1"``/``"on"``/``"force"`` always JIT, ``"0"``/``"off"`` never,
 #: unset or ``"auto"`` applies the size/warm-up thresholds below.
 ENV_JIT = "REPRO_JIT"
-#: Disk-cache location override; ``"off"``/``"0"``/``"none"`` disables
-#: the persistent cache entirely.
-ENV_JIT_CACHE = "REPRO_JIT_CACHE"
 
 #: Auto-mode thresholds: netlists below the floor are cheap enough for
 #: the engine's fused steps (codegen would never amortize); above the
@@ -132,19 +116,9 @@ ENV_JIT_CACHE = "REPRO_JIT_CACHE"
 JIT_MIN_ELEMENTS = 256
 JIT_MAX_ELEMENTS = 24_000
 #: Auto mode compiles a netlist only after it has been simulated this
-#: many times (unless a disk-cache entry already exists), so one-shot
-#: simulations — e.g. fault campaigns visiting thousands of distinct
-#: mutants once each — never pay codegen.
+#: many times, so one-shot simulations — e.g. fault campaigns visiting
+#: thousands of distinct mutants once each — never pay codegen.
 JIT_WARMUP_CALLS = 3
-
-#: Bump when the IR, codegen, or cache entry layout changes; part of
-#: every disk-cache key, so stale formats miss instead of mis-loading.
-CODEGEN_VERSION = 2
-
-_MAGIC = b"RJIT1\n"
-#: CPython bytecode magic — marshalled code objects are only valid for
-#: the interpreter that produced them.
-_PY_TAG = importlib.util.MAGIC_NUMBER.hex()
 
 # IR opcodes.  C0/C1 are the all-zeros / all-ones (mask) words and own
 # the fixed node ids 0 and 1; IN nodes follow at ids 2..n_inputs+1.
@@ -752,8 +726,8 @@ class _Function:
     after and before dead-code elimination.
     """
 
-    __slots__ = ("name", "digest", "source", "code", "fn", "ops",
-                 "executed", "lowered", "callees", "__weakref__")
+    __slots__ = ("name", "digest", "source", "fn", "ops", "executed",
+                 "lowered", "callees", "__weakref__")
 
     def __init__(self, name: str, digest: Optional[str], source: str,
                  code, callees: Sequence["_Function"], ops: int,
@@ -763,8 +737,7 @@ class _Function:
         # popped so the function and its globals form no reference cycle:
         # a dropped plan frees its code at once, not at the next gc pass
         self.fn = ns.pop(name)
-        self.name, self.digest, self.source, self.code = (
-            name, digest, source, code)
+        self.name, self.digest, self.source = name, digest, source
         self.callees = tuple(callees)
         self.ops, self.executed, self.lowered = ops, executed, lowered
 
@@ -791,18 +764,16 @@ class JitPlan:
     Most netlists compile to one function.  A block-structured netlist
     compiles to a top function that calls one function per repeated
     block shape.  ``source`` is the exact generated code of every
-    function, the top one first (retained for inspection); ``origin``
-    records where this plan came from (``"compiled"`` or
-    ``"disk-cache"``).  ``n_ops`` is the number of operations one
-    execution runs per lane; ``stats["compiled_ops"]`` and
-    ``stats["functions"]`` describe the generated code.  Like the
+    function, the top one first (retained for inspection).  ``n_ops``
+    is the number of operations one execution runs per lane;
+    ``stats["compiled_ops"]`` and ``stats["functions"]`` describe the
+    generated code.  Like the
     engine's :class:`ExecutionPlan`, a ``JitPlan`` holds no reference to
     its source netlist.
     """
 
     def __init__(self, top: _Function, name: str, n_inputs: int,
-                 n_outputs: int, stats: Dict[str, object],
-                 origin: str = "compiled") -> None:
+                 n_outputs: int, stats: Dict[str, object]) -> None:
         self._top = top
         self._fn = top.fn
         self._functions = _closure(top)
@@ -813,11 +784,10 @@ class JitPlan:
         self.n_outputs = n_outputs
         self.n_ops = top.executed
         self.stats = dict(stats)
-        self.origin = origin
 
     def __repr__(self) -> str:  # pragma: no cover - convenience only
         return (f"JitPlan({self.name!r}, ops={self.n_ops}, "
-                f"functions={len(self._functions)}, origin={self.origin!r})")
+                f"functions={len(self._functions)})")
 
     def execute_bits(self, ins: Sequence[int], lanes: int) -> Tuple[int, ...]:
         """Run the kernel on pre-packed words (one int per input wire,
@@ -954,7 +924,7 @@ def compile_jit(netlist: Netlist, *, optimize: bool = True) -> JitPlan:
 
 
 # ---------------------------------------------------------------------------
-# Caches: in-memory (weak) + persistent on-disk
+# Caches: plans and block shapes, in memory (weak)
 # ---------------------------------------------------------------------------
 
 _JIT_CACHE: "weakref.WeakKeyDictionary[Netlist, JitPlan]" = (
@@ -970,167 +940,14 @@ _SHAPES: "weakref.WeakValueDictionary[str, _Function]" = (
 _CALL_COUNTS: "weakref.WeakKeyDictionary[Netlist, int]" = (
     weakref.WeakKeyDictionary()
 )
-_DISK_STATS = {"hits": 0, "misses": 0, "writes": 0, "corrupt": 0,
-               "write_errors": 0}
-#: Memoized content hashes (serializing a large netlist costs ~ms).
-_KEY_CACHE: "weakref.WeakKeyDictionary[Netlist, str]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def disk_cache_dir() -> Optional[str]:
-    """Resolved disk-cache directory, or ``None`` when disabled."""
-    env = os.environ.get(ENV_JIT_CACHE)
-    if env is not None:
-        if env.strip().lower() in ("off", "0", "none", ""):
-            return None
-        return env
-    return os.path.join(
-        os.environ.get("XDG_CACHE_HOME")
-        or os.path.join(os.path.expanduser("~"), ".cache"),
-        "repro", "jit",
-    )
-
-
-def _cache_path(key: str) -> Optional[str]:
-    base = disk_cache_dir()
-    if base is None:
-        return None
-    return os.path.join(base, f"{key[:40]}.rjit")
-
-
-def _jit_key(netlist: Netlist) -> str:
-    """Disk-cache key: netlist content hash (shared with
-    :func:`repro.circuits.serialize.load`'s staleness logic) + codegen
-    format version + interpreter bytecode magic.  Cached plans are
-    always optimised; the literal ``:opt`` tail keeps the keys of
-    existing disk entries unchanged."""
-    base = _KEY_CACHE.get(netlist)
-    if base is None:
-        base = netlist_key(netlist)
-        _KEY_CACHE[netlist] = base
-    tail = f":{CODEGEN_VERSION}:{_PY_TAG}:opt"
-    return hashlib.sha256((base + tail).encode()).hexdigest()
-
-
-def _entry_bytes(key: str, plan: JitPlan) -> bytes:
-    """One entry holds every function of the plan, callees first."""
-    parts: List[bytes] = []
-    funcs = []
-    for f in plan._functions:
-        source, code = f.source.encode(), marshal.dumps(f.code)
-        parts += [source, code]
-        funcs.append({
-            "name": f.name, "digest": f.digest,
-            "callees": [g.name for g in f.callees],
-            "ops": f.ops, "executed": f.executed, "lowered": f.lowered,
-            "source_len": len(source), "code_len": len(code),
-        })
-    payload = b"".join(parts)
-    meta = json.dumps({
-        "format": CODEGEN_VERSION,
-        "key": key,
-        "python_magic": _PY_TAG,
-        "name": plan.name,
-        "n_inputs": plan.n_inputs,
-        "n_outputs": plan.n_outputs,
-        "stats": plan.stats,
-        "functions": funcs,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }).encode()
-    return _MAGIC + meta + b"\n" + payload
-
-
-def _write_disk(key: str, plan: JitPlan) -> bool:
-    path = _cache_path(key)
-    if path is None:
-        return False
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_bytes(path, _entry_bytes(key, plan))
-    except OSError:
-        # A read-only or full cache directory must never fail the sim.
-        _DISK_STATS["write_errors"] += 1
-        return False
-    _DISK_STATS["writes"] += 1
-    return True
-
-
-def _load_disk(key: str) -> Optional[JitPlan]:
-    """Load a disk entry; ``None`` on miss *or any corruption* (torn
-    write, truncation, bit flip, wrong interpreter, foreign key)."""
-    path = _cache_path(key)
-    if path is None:
-        return None
-    return _load_disk_by_path(path, key)
-
-
-def _load_disk_by_path(path: str, key: Optional[str] = None
-                       ) -> Optional[JitPlan]:
-    """Load one cache file directly (``key=None`` skips the expected-key
-    check; the checksum still guards integrity — used by crash-recovery
-    tests sweeping whatever a killed writer left behind)."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
-        _DISK_STATS["misses"] += 1
-        return None
-    try:
-        if not blob.startswith(_MAGIC):
-            raise ValueError("bad magic")
-        nl = blob.index(b"\n", len(_MAGIC))
-        meta = json.loads(blob[len(_MAGIC):nl])
-        if (meta.get("format") != CODEGEN_VERSION
-                or meta.get("python_magic") != _PY_TAG
-                or (key is not None and meta.get("key") != key)):
-            raise ValueError("stale entry")
-        payload = blob[nl + 1:]
-        funcs = meta["functions"]
-        if len(payload) != sum(int(f["source_len"]) + int(f["code_len"])
-                               for f in funcs):
-            raise ValueError("truncated entry")
-        if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
-            raise ValueError("checksum mismatch")
-        built: Dict[str, _Function] = {}
-        off = 0
-        with _JIT_LOCK:
-            for f in funcs:
-                s_len, c_len = int(f["source_len"]), int(f["code_len"])
-                source = payload[off:off + s_len].decode()
-                code_blob = payload[off + s_len:off + s_len + c_len]
-                off += s_len + c_len
-                digest = f["digest"]
-                fn = _SHAPES.get(digest) if digest else None
-                if fn is None:
-                    fn = _Function(
-                        f["name"], digest, source, marshal.loads(code_blob),
-                        [built[c] for c in f["callees"]], int(f["ops"]),
-                        int(f["executed"]), int(f["lowered"]))
-                    if digest:
-                        _SHAPES[digest] = fn
-                built[f["name"]] = fn
-        plan = JitPlan(
-            built[funcs[-1]["name"]], name=meta["name"],
-            n_inputs=int(meta["n_inputs"]),
-            n_outputs=int(meta["n_outputs"]),
-            stats=meta.get("stats", {}), origin="disk-cache",
-        )
-    except (ValueError, KeyError, TypeError, EOFError, IndexError):
-        _DISK_STATS["corrupt"] += 1
-        return None
-    _DISK_STATS["hits"] += 1
-    return plan
 
 
 def get_jit_plan(netlist: Netlist) -> JitPlan:
     """Return the cached JIT plan for ``netlist``, compiling on first use.
 
-    Lookup order: weak in-memory cache, persistent disk cache (content-
-    hash keyed, corruption-tolerant), then :func:`compile_jit` (which
-    also populates the disk cache).  Emits ``jit.compile`` spans /
-    ``jit.cache_hit`` events and a codegen-time histogram when
-    :mod:`repro.obs` is enabled.
+    Plans are cached in a weak in-memory map keyed by the netlist
+    object.  Emits ``jit.compile`` spans and a codegen-time histogram
+    when :mod:`repro.obs` is enabled.
     """
     with _JIT_LOCK:
         plan = _JIT_CACHE.get(netlist)
@@ -1140,18 +957,6 @@ def get_jit_plan(netlist: Netlist) -> JitPlan:
                     "repro_jit_cache_hits_total",
                     "JIT plan cache hits by tier", tier="memory",
                 ).inc()
-            return plan
-        key = _jit_key(netlist)
-        plan = _load_disk(key)
-        if plan is not None:
-            if obs.OBS.enabled:
-                obs.trace_event("jit.cache_hit", tier="disk",
-                                netlist=netlist.name, ops=plan.n_ops)
-                obs.OBS.registry.counter(
-                    "repro_jit_cache_hits_total",
-                    "JIT plan cache hits by tier", tier="disk",
-                ).inc()
-            _JIT_CACHE[netlist] = plan
             return plan
         if obs.OBS.enabled:
             with obs.OBS.tracer.span(
@@ -1171,7 +976,6 @@ def get_jit_plan(netlist: Netlist) -> JitPlan:
                           ).observe(plan.stats.get("codegen_s", 0.0))
         else:
             plan = compile_jit(netlist)
-        _write_disk(key, plan)
         _JIT_CACHE[netlist] = plan
         return plan
 
@@ -1191,9 +995,9 @@ def maybe_jit(netlist: Netlist, rows: int) -> Optional[JitPlan]:
 
     ``on`` always returns a plan; ``off`` never does.  ``auto`` JITs a
     netlist sized inside ``[JIT_MIN_ELEMENTS, JIT_MAX_ELEMENTS]`` once
-    it is *warm*: already compiled (memory or disk), or simulated at
-    least :data:`JIT_WARMUP_CALLS` times — so one-shot simulations of
-    thousands of distinct fault mutants never pay codegen.
+    it is *warm*: already compiled, or simulated at least
+    :data:`JIT_WARMUP_CALLS` times — so one-shot simulations of thousands
+    of distinct fault mutants never pay codegen.
     """
     mode = jit_mode()
     if mode == "off":
@@ -1210,10 +1014,7 @@ def maybe_jit(netlist: Netlist, rows: int) -> Optional[JitPlan]:
         count = _CALL_COUNTS.get(netlist, 0) + 1
         _CALL_COUNTS[netlist] = count
     if count < JIT_WARMUP_CALLS:
-        # Not warm yet: only adopt an existing disk entry (cheap stat).
-        path = _cache_path(_jit_key(netlist))
-        if path is None or not os.path.exists(path):
-            return None
+        return None
     return get_jit_plan(netlist)
 
 
@@ -1226,40 +1027,14 @@ def clear_memory_cache() -> None:
         _CALL_COUNTS.clear()
 
 
-def clear_disk_cache() -> int:
-    """Delete every entry in the persistent cache; returns the count."""
-    base = disk_cache_dir()
-    if base is None or not os.path.isdir(base):
-        return 0
-    removed = 0
-    for name in os.listdir(base):
-        if name.endswith(".rjit"):
-            try:
-                os.unlink(os.path.join(base, name))
-                removed += 1
-            except OSError:
-                pass
-    return removed
-
-
 def cache_info() -> Dict[str, object]:
-    """Snapshot of both JIT caches (see ``engine.cache_info`` for the
+    """Snapshot of the JIT caches (see ``engine.cache_info`` for the
     combined engine+JIT view)."""
-    base = disk_cache_dir()
-    entries = size = 0
-    if base is not None and os.path.isdir(base):
-        for name in os.listdir(base):
-            if name.endswith(".rjit"):
-                entries += 1
-                try:
-                    size += os.path.getsize(os.path.join(base, name))
-                except OSError:
-                    pass
     with _JIT_LOCK:
         mem, shapes = len(_JIT_CACHE), len(_SHAPES)
     return {
         "memory": mem,
         "shapes": shapes,
-        "disk": {"dir": base, "entries": entries, "bytes": size,
-                 **_DISK_STATS},
+        # always 0; kept for bench/spans.py's circuits.jit.disk_hits
+        "disk": {"hits": 0},
     }

@@ -36,26 +36,13 @@ FORMAT_VERSION = 1
 def content_hash(data: Union[str, bytes]) -> str:
     """sha256 hex digest of serialized netlist bytes.
 
-    The single content-identity primitive shared by :func:`load`'s
-    staleness check and the JIT disk-cache key
-    (:func:`repro.circuits.jit.get_jit_plan`): two netlists with equal
-    hashes are byte-identical under :func:`to_json`.
+    The content-identity primitive behind :func:`load`'s staleness
+    check: two files with equal hashes hold the same bytes.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
-
-def netlist_key(netlist: Netlist) -> str:
-    """Content hash of a live netlist (its canonical JSON form).
-
-    Structure-only: two :class:`Netlist` objects that serialize
-    identically share a key, which is exactly what lets JIT-compiled
-    kernels persist across processes and :mod:`repro.parallel` workers.
-    Block records are left out: they do not change what a netlist
-    computes.
-    """
-    return content_hash(to_json(netlist, blocks=False))
 
 #: (realpath, mtime_ns, size) -> (weakref to the loaded netlist, inode,
 #: sha256 of the file bytes).  Weak so the cache never extends a
@@ -66,9 +53,8 @@ _LOAD_CACHE: Dict[
 ] = {}
 
 
-def to_json(netlist: Netlist, blocks: bool = True) -> str:
-    """Serialize a netlist to a JSON string (without its block records
-    when ``blocks`` is false)."""
+def to_json(netlist: Netlist) -> str:
+    """Serialize a netlist to a JSON string."""
     payload = {
         "format": FORMAT_VERSION,
         "name": netlist.name,
@@ -98,7 +84,7 @@ def to_json(netlist: Netlist, blocks: bool = True) -> str:
                  b.start, b.stop]
                 for b in netlist.blocks
             ]}
-            if blocks and netlist.blocks
+            if netlist.blocks
             else {}
         ),
     }

@@ -23,9 +23,8 @@ from typing import Any
 def atomic_write_bytes(path, data: bytes) -> None:
     """Atomically replace ``path`` with ``data``.
 
-    Binary twin of :func:`atomic_write_text`; used by the JIT disk cache
-    (:mod:`repro.circuits.jit`), whose entries embed marshalled code
-    objects and must never be observable half-written.
+    Binary core of :func:`atomic_write_text` and
+    :func:`atomic_write_json`.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."

@@ -42,9 +42,8 @@ where                   what is recorded
                         switch-activity accumulation per plan
 ``circuits.simulate``   ``interp.execute`` spans for the oracle
                         interpreters (engine spans cover ``simulate``)
-``circuits.jit``        ``jit.compile`` / ``jit.execute`` spans,
-                        ``jit.cache_hit`` events, plus a
-                        ``repro_jit_codegen_seconds`` histogram and
+``circuits.jit``        ``jit.compile`` / ``jit.execute`` spans, plus
+                        a ``repro_jit_codegen_seconds`` histogram and
                         compile/hit/execution counters — the inputs to
                         ``tools/trace_report.py``'s compile-amortization
                         section

@@ -1,7 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -15,18 +13,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_jit_cache(tmp_path_factory):
-    """Point the JIT's persistent plan cache at a session-scoped tmpdir
-    so tests never read from or pollute the user's real cache directory
-    (an explicit REPRO_JIT_CACHE, e.g. from CI, is respected)."""
-    if "REPRO_JIT_CACHE" not in os.environ:
-        os.environ["REPRO_JIT_CACHE"] = str(
-            tmp_path_factory.mktemp("jit-cache")
-        )
-    yield
 
 
 @pytest.fixture

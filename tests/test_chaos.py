@@ -14,7 +14,6 @@ from repro.chaos import (
     CHAOS_INJECTORS,
     DeadlineStorm,
     FaultStorm,
-    JitCacheCorruptor,
     Schedule,
     TraceTruncator,
     WorkerKillStorm,
@@ -27,8 +26,7 @@ from repro.errors import BuildError
 
 
 def test_registry_names():
-    assert CHAOS_INJECTORS == ("faults", "kills", "deadlines", "jitcache",
-                               "obstrunc")
+    assert CHAOS_INJECTORS == ("faults", "kills", "deadlines", "obstrunc")
 
 
 # -- schedules ----------------------------------------------------------------
@@ -115,27 +113,6 @@ def test_deadline_storm():
 
 
 # -- environment injectors ----------------------------------------------------
-
-
-def test_jitcache_corruptor_flips_bytes_only_when_active(tmp_path):
-    payload = bytes(range(256)) * 8
-    entry = tmp_path / "plan-abc.rjit"
-    entry.write_bytes(payload)
-    (tmp_path / "ignored.txt").write_bytes(b"not a cache entry")
-    corr = JitCacheCorruptor(Schedule(period=2, duty=0.5), tmp_path, seed=3)
-    assert corr.perturb(1) is None  # off-window: untouched
-    assert entry.read_bytes() == payload
-    summary = corr.perturb(0)
-    assert summary["injector"] == "jitcache"
-    assert summary["files"] == ["plan-abc.rjit"]
-    mutated = entry.read_bytes()
-    assert mutated != payload and len(mutated) == len(payload)
-    assert (tmp_path / "ignored.txt").read_bytes() == b"not a cache entry"
-
-
-def test_jitcache_corruptor_empty_cache(tmp_path):
-    corr = JitCacheCorruptor(Schedule(period=1, duty=1.0), tmp_path, seed=0)
-    assert corr.perturb(0)["note"] == "cache empty"
 
 
 def test_trace_truncator_chops_the_tail(tmp_path):

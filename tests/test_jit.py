@@ -9,21 +9,14 @@ The load-bearing guarantees:
 * **the optimizer is semantics-preserving** — folding and sharing while
   lowering, then dead-code elimination; a hypothesis property over
   randomly built netlists;
-* **the persistent disk cache never loads a torn entry** — atomic
-  writes + checksum verification, proven against deliberate corruption
-  and against a SIGKILLed writer;
+* **plans are cached in memory only** — keyed by the netlist object,
+  never serialized or written to a file;
 * **routing policy** — ``REPRO_JIT`` override, size thresholds, and the
   warm-up counter that keeps one-shot fault-campaign mutants from
   triggering compile storms.
 """
 
 import inspect
-import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
 
 import numpy as np
 import pytest
@@ -31,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import engine as engine_mod
-from repro.circuits import jit
+from repro.circuits import jit, serialize
 from repro.circuits.checkers import with_checkers
 from repro.circuits.faults import (
     ControlInvert,
@@ -43,8 +36,6 @@ from repro.circuits.faults import (
     sample_faults,
 )
 from repro.circuits.fuzz import random_netlist
-from repro.circuits.netlist import Netlist
-from repro.circuits.serialize import netlist_key, to_json
 from repro.circuits.simulate import (
     exhaustive_inputs,
     simulate,
@@ -53,6 +44,7 @@ from repro.circuits.simulate import (
     simulate_jit,
 )
 from repro.core.api import make_sorter
+from repro.core.mux_merger import build_mux_merger_sorter
 from repro.errors import SimulationError
 
 
@@ -119,11 +111,18 @@ class TestDifferential:
             changed += int(not np.array_equal(out, clean))
         assert changed  # at least one mutant visibly misbehaves
 
-    def test_mutant_gets_its_own_cache_key(self):
+    def test_mutant_gets_its_own_plan(self):
         net = make_sorter(8, "prefix")
         steering = sorted(set(control_wires(net)) - set(net.inputs))
         mutant = apply_fault(net, ControlInvert(steering[0]))
-        assert netlist_key(net) != netlist_key(mutant)
+        batch = exhaustive_inputs(8)
+        plan, broken = jit.get_jit_plan(net), jit.get_jit_plan(mutant)
+        assert broken is not plan
+        assert np.array_equal(plan.execute(batch),
+                              simulate_interpreted(net, batch))
+        assert np.array_equal(broken.execute(batch),
+                              simulate_interpreted(mutant, batch))
+        assert not np.array_equal(plan.execute(batch), broken.execute(batch))
 
     def test_wrong_arity_rejected(self):
         net = make_sorter(8, "prefix")
@@ -223,151 +222,41 @@ class TestOptimizePasses:
         assert outs[0] == outs[1]
 
 
-class TestDiskCache:
-    def _small_net(self, tag="cache-test"):
+class TestPlanCache:
+    def test_clear_plan_cache_clears_jit_memory(self):
+        jit.clear_memory_cache()
         net = make_sorter(8, "prefix")
-        return Netlist(
-            n_wires=net.n_wires, elements=net.elements, inputs=net.inputs,
-            outputs=net.outputs, constants=dict(net.constants),
-            name=tag, control_wires=net.control_wires,
-        )
-
-    def test_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(jit.ENV_JIT_CACHE, str(tmp_path))
-        jit.clear_memory_cache()
-        net = self._small_net()
-        first = jit.get_jit_plan(net)
-        assert first.origin == "compiled"
-        jit.clear_memory_cache()
-        second = jit.get_jit_plan(self._small_net())
-        assert second.origin == "disk-cache"
-        assert second.source == first.source
-        batch = exhaustive_inputs(8)
-        assert np.array_equal(first.execute(batch), second.execute(batch))
-
-    def test_cache_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv(jit.ENV_JIT_CACHE, "off")
-        assert jit.disk_cache_dir() is None
-        jit.clear_memory_cache()
-        net = self._small_net()
-        assert jit.get_jit_plan(net).origin == "compiled"
-        jit.clear_memory_cache()
-        assert jit.get_jit_plan(self._small_net()).origin == "compiled"
-
-    @pytest.mark.parametrize("corruption", [
-        "truncate", "flip-byte", "bad-magic", "empty", "foreign-key",
-    ])
-    def test_corrupt_entry_never_loads(self, tmp_path, monkeypatch,
-                                       corruption):
-        monkeypatch.setenv(jit.ENV_JIT_CACHE, str(tmp_path))
-        jit.clear_memory_cache()
-        jit.get_jit_plan(self._small_net())
-        (entry,) = [p for p in tmp_path.iterdir()
-                    if p.name.endswith(".rjit")]
-        blob = bytearray(entry.read_bytes())
-        if corruption == "truncate":
-            blob = blob[: len(blob) // 2]
-        elif corruption == "flip-byte":
-            blob[len(blob) // 2] ^= 0xFF
-        elif corruption == "bad-magic":
-            blob[:4] = b"XXXX"
-        elif corruption == "empty":
-            blob = bytearray()
-        elif corruption == "foreign-key":
-            # another netlist's (valid, checksummed) entry copied onto
-            # this slot: the embedded-key check must trip
-            other = self._small_net(tag="other-netlist")
-            jit.clear_memory_cache()
-            jit.get_jit_plan(other)
-            other_entry = next(p for p in tmp_path.iterdir()
-                               if p.name.endswith(".rjit") and p != entry)
-            blob = bytearray(other_entry.read_bytes())
-        entry.write_bytes(bytes(blob))
-        jit.clear_memory_cache()
-        before = dict(jit._DISK_STATS)
-        plan = jit.get_jit_plan(self._small_net())
-        assert plan.origin == "compiled"  # recompiled, never mis-loaded
-        assert np.array_equal(
-            simulate_interpreted(self._small_net(), exhaustive_inputs(8)),
-            plan.execute(exhaustive_inputs(8)),
-        )
-        assert jit._DISK_STATS["corrupt"] > before["corrupt"]
-
-    def test_sigkill_during_write_leaves_no_torn_entry(self, tmp_path):
-        """Crash-consistency: SIGKILL a process that is busily writing
-        cache entries; whatever survives on disk must either load
-        cleanly (and agree with the interpreter) or be ignored —
-        a torn entry is never served."""
-        script = textwrap.dedent("""
-            import os, sys
-            sys.path.insert(0, os.environ["REPRO_SRC"])
-            from repro.circuits import jit
-            from repro.circuits.netlist import Netlist
-            from repro.core.api import make_sorter
-            base = make_sorter(8, "prefix")
-            print("ready", flush=True)
-            i = 0
-            while True:  # one fresh netlist (new key) per iteration
-                i += 1
-                net = Netlist(
-                    n_wires=base.n_wires, elements=base.elements,
-                    inputs=base.inputs, outputs=base.outputs,
-                    constants=dict(base.constants),
-                    name=f"victim-{i}",
-                    control_wires=base.control_wires,
-                )
-                jit.get_jit_plan(net)
-        """)
-        env = dict(
-            os.environ,
-            REPRO_SRC=os.path.join(os.path.dirname(__file__), "..", "src"),
-            REPRO_JIT_CACHE=str(tmp_path),
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script], env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        )
-        try:
-            assert proc.stdout.readline().strip() == b"ready"
-            time.sleep(0.35)  # let several writes race the kill
-        finally:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
-        entries = sorted(tmp_path.glob("*.rjit"))
-        assert entries, "writer was killed before any entry completed"
-        loaded = 0
-        for entry in entries:
-            plan = jit._load_disk_by_path(str(entry))
-            if plan is not None:
-                loaded += 1
-                batch = exhaustive_inputs(8)
-                base = make_sorter(8, "prefix")
-                assert np.array_equal(simulate_interpreted(base, batch),
-                                      plan.execute(batch))
-        assert loaded  # the completed entries do load
-
-    def test_clear_disk_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(jit.ENV_JIT_CACHE, str(tmp_path))
-        jit.clear_memory_cache()
-        net = self._small_net()  # kept alive: the memory cache is weak
-        jit.get_jit_plan(net)
-        info = engine_mod.cache_info()
-        assert info["jit"]["disk"]["entries"] == 1
-        assert info["jit"]["memory"] == 1
-        assert engine_mod.clear_disk_cache() == 1
-        assert engine_mod.cache_info()["jit"]["disk"]["entries"] == 0
-
-    def test_clear_plan_cache_clears_jit_memory(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv(jit.ENV_JIT_CACHE, str(tmp_path))
-        jit.clear_memory_cache()
-        net = self._small_net()
         jit.get_jit_plan(net)
         assert jit.cache_info()["memory"] == 1
         engine_mod.clear_plan_cache()
         assert jit.cache_info()["memory"] == 0
-        # the persistent entries survive clear_plan_cache
-        assert jit.cache_info()["disk"]["entries"] == 1
+
+    def test_cold_calls_never_serialize_or_write(self, tmp_path,
+                                                 monkeypatch, rng):
+        """Auto routing counts cold calls and compiles on the warm-up
+        call without hashing the netlist's JSON form, and no path of
+        the plan cache writes under the user's cache directory."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.delenv(jit.ENV_JIT, raising=False)
+
+        def _refuse(*args, **kwargs):
+            raise AssertionError("netlist serialized")
+
+        monkeypatch.setattr(serialize, "to_json", _refuse)
+        jit.clear_memory_cache()
+        net = build_mux_merger_sorter(64)  # fresh: not memoized
+        assert (jit.JIT_MIN_ELEMENTS <= len(net.elements)
+                <= jit.JIT_MAX_ELEMENTS)
+        batch = rng.integers(0, 2, size=(8, 64)).astype(np.uint8)
+        want = simulate_engine(net, batch)
+        for _ in range(jit.JIT_WARMUP_CALLS - 1):
+            assert np.array_equal(simulate(net, batch), want)
+            assert jit.cache_info()["memory"] == 0
+        assert np.array_equal(simulate(net, batch), want)
+        assert jit.cache_info()["memory"] == 1
+        forced = jit.get_jit_plan(build_mux_merger_sorter(64))
+        assert np.array_equal(forced.execute(batch), want)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoutingPolicy:
@@ -393,7 +282,6 @@ class TestRoutingPolicy:
     def test_auto_warmup_counter(self, monkeypatch):
         """One-shot simulations never compile; the warm-up call does."""
         monkeypatch.delenv(jit.ENV_JIT, raising=False)
-        monkeypatch.setenv(jit.ENV_JIT_CACHE, "off")
         monkeypatch.setattr(jit, "JIT_MIN_ELEMENTS", 1)
         jit.clear_memory_cache()
         net = make_sorter(8, "prefix")
@@ -402,26 +290,6 @@ class TestRoutingPolicy:
         assert jit.maybe_jit(net, 64) is not None
         # warm now: immediately available on the next call
         assert jit.maybe_jit(net, 64) is not None
-
-    def test_auto_adopts_existing_disk_entry_before_warmup(
-            self, monkeypatch, tmp_path):
-        """A cold process inherits another process's compiled plan on
-        the *first* call — no warm-up wait when the work is already
-        done (this is what makes repro.parallel workers cheap)."""
-        monkeypatch.setenv(jit.ENV_JIT_CACHE, str(tmp_path))
-        monkeypatch.delenv(jit.ENV_JIT, raising=False)
-        monkeypatch.setattr(jit, "JIT_MIN_ELEMENTS", 1)
-        jit.clear_memory_cache()  # make_sorter memoizes: force a real
-        net = make_sorter(8, "prefix")  # compile so the entry hits disk
-        jit.get_jit_plan(net)  # simulate the "other process"
-        jit.clear_memory_cache()
-        fresh = Netlist(
-            n_wires=net.n_wires, elements=net.elements, inputs=net.inputs,
-            outputs=net.outputs, constants=dict(net.constants),
-            name=net.name, control_wires=net.control_wires,
-        )
-        plan = jit.maybe_jit(fresh, 64)
-        assert plan is not None and plan.origin == "disk-cache"
 
     def test_simulate_routes_through_jit_when_forced(self, monkeypatch,
                                                      rng):

@@ -11,8 +11,8 @@ The load-bearing guarantees:
   digest and never reuses a healthy shape's function; a later netlist
   reuses the shapes an earlier compile made;
 * **records are annotation** — rewrites that move elements drop them,
-  checkers without the control duplicate keep them, serialization
-  round-trips them, and the disk key ignores them.
+  checkers without the control duplicate keep them, and serialization
+  round-trips them.
 """
 
 import json
@@ -26,7 +26,7 @@ from repro.circuits.checkers import with_checkers
 from repro.circuits.elements import SWITCH4, Element
 from repro.circuits.faults import StuckAt, apply_fault
 from repro.circuits.opt import prune_dead
-from repro.circuits.serialize import from_json, netlist_key, to_json
+from repro.circuits.serialize import from_json, to_json
 from repro.circuits.simulate import simulate_engine, simulate_interpreted
 from repro.core.mux_merger import build_mux_merger_sorter
 from repro.core.prefix_sorter import build_prefix_sorter
@@ -90,13 +90,14 @@ class TestBlockRecords:
             blk.outputs = [b.and_(b.xor(x, y), one)]
         assert b.build(blk.outputs).blocks[0].outputs == tuple(blk.outputs)
 
-    def test_records_do_not_touch_accounting_or_key(self):
+    def test_records_do_not_touch_accounting(self):
         net = build_mux_merger_sorter(16)
-        bare = from_json(to_json(net, blocks=False))
+        payload = json.loads(to_json(net))
+        del payload["blocks"]
+        bare = from_json(json.dumps(payload))
         assert not bare.blocks
         assert (net.cost(), net.depth(), net.stats()) == (
             bare.cost(), bare.depth(), bare.stats())
-        assert netlist_key(net) == netlist_key(bare)
 
     def test_serialize_round_trips_records(self):
         net = build_mux_merger_sorter(16)
@@ -188,22 +189,6 @@ class TestBlockPlans:
                  if all(f is not g for g in big._functions)]
         assert [f.name for f in fresh] == ["_jit_kernel"]
         assert small.stats["functions"] == 3
-
-    def test_disk_round_trip(self, tmp_path, monkeypatch, rng):
-        monkeypatch.setenv(jit.ENV_JIT_CACHE, str(tmp_path))
-        jit.clear_memory_cache()
-        net = build_mux_merger_sorter(256)
-        first = jit.get_jit_plan(net)
-        assert first.origin == "compiled" and first.stats["functions"] == 3
-        assert len(list(tmp_path.glob("*.rjit"))) == 1  # one entry per netlist
-        jit.clear_memory_cache()
-        second = jit.get_jit_plan(build_mux_merger_sorter(256))
-        assert second.origin == "disk-cache"
-        assert second.source == first.source
-        assert second.n_ops == first.n_ops
-        assert second.stats == first.stats
-        rows = _rows(rng, 256, 256)
-        assert np.array_equal(first.execute(rows), second.execute(rows))
 
     def test_inconsistent_records_compile_flat(self, rng):
         """A record whose region is not closed (hand-edited netlist)

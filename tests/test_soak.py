@@ -48,7 +48,6 @@ def _soak_cmd(tmp, tag, requests=640, workloads="uniform,adversarial",
         "--jobs", "2",
         "--n", "8",
         "--seed", "7",
-        "--workdir", str(tmp / f"{tag}.work"),
         "--out", str(out),
         "--measured-out", str(tmp / f"{tag}.measured.json"),
         # A few hundred requests is only a handful of chunks, so run

@@ -46,9 +46,8 @@ Chaos comes in two shapes.  *Payload* injectors (``faults``,
 ``deadlines``) resolve to per-chunk flags in the parent — a seeded
 fault to rewrite into the worker's netlist, a tiny per-attempt
 deadline — so they are exactly reproducible.  *Environment* injectors
-(``kills``, ``jitcache``, ``obstrunc``) attack shared state from the
-parent: SIGKILL storms against live pool workers during a round, byte
-flips in warm ``*.rjit`` JIT cache entries and trace-file tail
+(``kills``, ``obstrunc``) attack shared state from the parent: SIGKILL
+storms against live pool workers during a round and trace-file tail
 truncation between rounds.
 
 **Crash safety and determinism.**  The soak checkpoints atomically
@@ -288,7 +287,6 @@ def _build_chaos(args, active):
     from repro.chaos import (
         DeadlineStorm,
         FaultStorm,
-        JitCacheCorruptor,
         TraceTruncator,
         WorkerKillStorm,
         seeded_schedule,
@@ -312,11 +310,6 @@ def _build_chaos(args, active):
         chaos["kills"] = WorkerKillStorm(
             seeded_schedule(args.seed, "kills", round_period, round_duty),
             args.seed, interval_s=0.02, kill_prob=1.0, max_kills=1,
-        )
-    if "jitcache" in active:
-        chaos["jitcache"] = JitCacheCorruptor(
-            seeded_schedule(args.seed, "jitcache", round_period, round_duty),
-            os.path.join(args.workdir, "jit-cache"), args.seed,
         )
     if "obstrunc" in active:
         chaos["obstrunc"] = TraceTruncator(
@@ -407,11 +400,6 @@ def _evaluate_slo(args, active, totals, lat_hist, quarantine, total_chunks,
             "value": chaos_totals["kills_sent"],
             "ok": chaos_totals["kills_sent"] > 0,
         }
-    if "jitcache" in active:
-        gates["chaos_jitcache_corrupted"] = {
-            "value": chaos_totals["jit_files"],
-            "ok": chaos_totals["jit_files"] > 0,
-        }
     if "obstrunc" in active:
         gates["chaos_trace_truncated"] = {
             "value": chaos_totals["trunc_bytes"],
@@ -448,7 +436,7 @@ def main(argv=None) -> int:
                         default="uniform,poisson,bursty,zipf,adversarial,mixed")
     parser.add_argument("--chaos", default="",
                         help="comma list of injectors, or 'all' "
-                             "(faults,kills,deadlines,jitcache,obstrunc)")
+                             "(faults,kills,deadlines,obstrunc)")
     parser.add_argument("--network", default="mux_merger", choices=NETWORKS)
     parser.add_argument("--n", type=int, default=16)
     parser.add_argument("--rate", type=float, default=2000.0,
@@ -481,8 +469,6 @@ def main(argv=None) -> int:
                         help="wall-clock report (default: <out>_measured.json)")
     parser.add_argument("--bench-out", type=pathlib.Path, default=None,
                         help="emit BENCH_workloads.json records here")
-    parser.add_argument("--workdir", type=pathlib.Path, default=None,
-                        help="scratch dir (JIT cache); default <out>.work")
     parser.add_argument("--trace", type=pathlib.Path, default=None,
                         help="enable repro.obs and append a JSON-lines trace")
     parser.add_argument("--metrics", type=pathlib.Path, default=None,
@@ -515,18 +501,6 @@ def main(argv=None) -> int:
 
     if args.measured_out is None:
         args.measured_out = args.out.with_name(args.out.stem + "_measured.json")
-    if args.workdir is None:
-        args.workdir = args.out.with_name(args.out.stem + ".work")
-    args.workdir = pathlib.Path(args.workdir)
-    args.workdir.mkdir(parents=True, exist_ok=True)
-    # Keep JIT artifacts inside the soak's scratch dir (hermetic, and the
-    # jitcache injector needs to know where the warm plans live); force
-    # the JIT on so the cache actually fills when we plan to corrupt it.
-    os.environ["REPRO_JIT_CACHE"] = str(args.workdir / "jit-cache")
-    if "jitcache" in active:
-        os.environ["REPRO_JIT"] = "1"
-        (args.workdir / "jit-cache").mkdir(parents=True, exist_ok=True)
-    args.workdir = str(args.workdir)
 
     import repro.obs as obs
     from repro.ioutil import atomic_write_json, atomic_write_text
@@ -642,18 +616,16 @@ def main(argv=None) -> int:
               f"{len(todo)} to run)")
         for at in range(0, len(todo), args.round_chunks):
             round_items = todo[at:at + args.round_chunks]
-            # Environment chaos between rounds: corrupt warm JIT cache
-            # entries and chop the trace tail while nothing is in flight
-            # (the *next* round's fresh workers pay the recovery).
-            for name in ("jitcache", "obstrunc"):
-                injector = chaos.get(name)
-                if injector is not None:
-                    summary = injector.perturb(round_counter)
-                    if summary is not None:
-                        measured["chaos_log"].append(
-                            {"round": round_counter, **summary})
-                        obs.trace_event("soak.chaos", round=round_counter,
-                                        **summary)
+            # Environment chaos between rounds: chop the trace tail
+            # while nothing is in flight.
+            injector = chaos.get("obstrunc")
+            if injector is not None:
+                summary = injector.perturb(round_counter)
+                if summary is not None:
+                    measured["chaos_log"].append(
+                        {"round": round_counter, **summary})
+                    obs.trace_event("soak.chaos", round=round_counter,
+                                    **summary)
             requeue = []
 
             def on_outcome(outcome):
@@ -701,9 +673,6 @@ def main(argv=None) -> int:
     total_chunks = sum(len(v) for v in chunks.values())
     chaos_totals = {
         "kills_sent": int(measured.get("kills_sent", 0)),
-        "jit_files": sum(len(e.get("files", []))
-                         for e in measured["chaos_log"]
-                         if e.get("injector") == "jitcache"),
         "trunc_bytes": sum(int(e.get("truncated_bytes", 0))
                            for e in measured["chaos_log"]
                            if e.get("injector") == "obstrunc"),

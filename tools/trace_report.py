@@ -20,9 +20,9 @@ Sections (each emitted only when the trace has the matching events):
   busiest elements and adaptive control wires (the empirical view of the
   paper's Table I control behaviour);
 * **jit** — compile-amortization table per netlist from ``jit.compile``
-  / ``jit.execute`` spans and ``jit.cache_hit`` events: one-off codegen
-  seconds against cumulative kernel seconds (and lanes evaluated), with
-  an amortized / NOT amortized verdict per netlist;
+  / ``jit.execute`` spans: one-off codegen seconds against cumulative
+  kernel seconds (and lanes evaluated), with an amortized / NOT
+  amortized verdict per netlist;
 * **supervisor** — outcome table aggregated from ``supervisor.sort``
   spans and ``supervisor.*`` decision events (accepts, fallbacks,
   retries, alarms, deadline hits per network);
@@ -129,8 +129,7 @@ def jit_amortization(events):
 
     One ``jit.compile`` span is a one-off codegen cost; every
     ``jit.execute`` span afterwards is where it pays off.  The report
-    shows both sides (plus ``jit.cache_hit`` disk adoptions, which skip
-    codegen entirely) so a trace answers "did compiling amortize?"
+    shows both sides so a trace answers "did compiling amortize?"
     directly: ``amortized`` is true once the cumulative engine-side
     estimate exceeds the codegen spend — conservatively approximated as
     executions * mean execute time, i.e. assuming the engine were merely
@@ -138,7 +137,7 @@ def jit_amortization(events):
     """
     agg = defaultdict(lambda: {
         "compiles": 0, "codegen_s": 0.0, "ops": 0,
-        "disk_hits": 0, "executions": 0, "execute_s": 0.0, "lanes": 0,
+        "executions": 0, "execute_s": 0.0, "lanes": 0,
     })
     for ev in events:
         name = ev.get("name")
@@ -150,9 +149,6 @@ def jit_amortization(events):
             cell["codegen_s"] += float(attrs.get("codegen_s")
                                        or ev.get("dur", 0.0))
             cell["ops"] = int(attrs.get("ops", 0))
-        elif name == "jit.cache_hit":
-            agg[net]["disk_hits"] += 1
-            agg[net]["ops"] = agg[net]["ops"] or int(attrs.get("ops", 0))
         elif name == "jit.execute":
             cell = agg[net]
             cell["executions"] += 1
@@ -166,7 +162,6 @@ def jit_amortization(events):
         out[net] = {
             "compiles": cell["compiles"],
             "codegen_s": round(cell["codegen_s"], 6),
-            "disk_hits": cell["disk_hits"],
             "executions": execs,
             "execute_s": round(cell["execute_s"], 6),
             "lanes": cell["lanes"],
@@ -343,7 +338,6 @@ def _print_jit(report) -> None:
         verdict = "amortized" if s["amortized"] else "NOT amortized"
         print(f"  {net} ({s['ops']} ops): "
               f"{s['compiles']} compile(s) {s['codegen_s']:.3f}s, "
-              f"{s['disk_hits']} disk hit(s), "
               f"{s['executions']} exec {s['execute_s']:.4f}s "
               f"({s['lanes']} lanes, mean {s['mean_execute_s']:.5f}s) "
               f"-> {verdict}")
