@@ -730,10 +730,10 @@ class _Function:
                  "lowered", "callees", "__weakref__")
 
     def __init__(self, name: str, digest: Optional[str], source: str,
-                 code, callees: Sequence["_Function"], ops: int,
+                 callees: Sequence["_Function"], ops: int,
                  executed: int, lowered: int) -> None:
         ns: Dict[str, object] = {f.name: f.fn for f in callees}
-        exec(code, ns)
+        exec(compile(source, f"<repro-jit:{name}>", "exec"), ns)
         # popped so the function and its globals form no reference cycle:
         # a dropped plan frees its code at once, not at the next gc pass
         self.fn = ns.pop(name)
@@ -856,11 +856,10 @@ def _function(prog: BitProgram, name: str, digest: Optional[str],
     if optimize:
         prog = eliminate_dead(prog)
     source = codegen(prog, name, fuse=optimize)
-    code = compile(source, f"<repro-jit:{name}>", "exec")
     used = [callees[c] for c in dict.fromkeys(c for c, _, _ in prog.calls)]
     executed = prog.n_ops + sum(callees[c].executed for c, _, _ in prog.calls)
-    return _Function(name, digest, source, code, used, prog.n_ops,
-                     executed, lowered)
+    return _Function(name, digest, source, used, prog.n_ops, executed,
+                     lowered)
 
 
 def _shape(layout: _Layout, i: int) -> _Function:
